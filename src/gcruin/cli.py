@@ -34,7 +34,7 @@ from .risk import RiskModel, safety_condition_kendall, safety_condition_max
 from .ruin import (
     CertainRuinError,
     RuinEstimate,
-    alpha_ruin,
+    alpha_ruin_grid,
     max_ruin_lom,
     max_ruin_ode,
     mc_ruin,
@@ -69,6 +69,8 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
         a, b, n = float(a), float(b), int(n)
     except ValueError as exc:
         raise _ValidationError(f"{what}: expected 'start:stop:count', got {text!r}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise _ValidationError(f"{what}: start and stop must be finite, got {text!r}")
     if n < 1 or b < a:
         raise _ValidationError(f"{what}: need count >= 1 and stop >= start")
     return np.linspace(a, b, n)
@@ -215,8 +217,6 @@ def _max_closed_estimate(model: RiskModel, u: float) -> RuinEstimate:
 
 
 def _ruin_one(model: RiskModel, method: str, u: float, args) -> RuinEstimate:
-    if method == "volterra":
-        return alpha_ruin(u, model, steps=args.steps)
     if method == "ode":
         grid = max_ruin_ode(model.claim_law, model.premium_law, np.array([0.0, max(u, 1e-12)]))
         surv = float(grid.delta_values[-1])
@@ -241,10 +241,13 @@ def _cmd_ruin(args, out: Path) -> dict:
         us = _parse_grid(args.u_grid, "--u-grid")
     else:
         us = np.array([model.u if args.u is None else args.u])
+    if method == "volterra":
+        ests = alpha_ruin_grid([float(u) for u in us], model, steps=args.steps)
+    else:
+        ests = [_ruin_one(model, method, float(u), args) for u in us]
     rows = []
     diags = []
-    for u in us:
-        est = _ruin_one(model, method, float(u), args)
+    for u, est in zip(us, ests):
         rows.append((float(u), est.survival, est.ruin,
                      "" if est.ci_low is None else est.ci_low,
                      "" if est.ci_high is None else est.ci_high,
@@ -325,6 +328,17 @@ _HANDLERS = {
 }
 
 
+#: numeric options that must be finite when given
+_FINITE_OPTIONS = ("u", "t", "x", "y", "start")
+
+
+def _check_finite_options(args) -> None:
+    for name in _FINITE_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise _ValidationError(f"--{name} must be finite, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -336,6 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     start = time.perf_counter()
     try:
+        _check_finite_options(args)
         extra = _HANDLERS[args.command](args, out)
     except (_ValidationError, ParameterError, UnsupportedLawError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -121,7 +121,14 @@ class Distribution:
 
 
 def _invert_cdf(cdf_fn, q, lo, hi, iters: int = 200):
-    """Generalized inverse of a CDF by bisection, vectorized over q."""
+    """Generalized inverse of a CDF by bisection, vectorized over q.
+
+    ``iters`` caps the bisection steps.  The loop stops early once a step
+    leaves both bracket arrays unchanged bit for bit: a step is a
+    deterministic map of (lo, hi), so every later step would be a no-op and
+    the result is identical to running all ``iters`` steps.  On a bracket
+    [1, 2^k] that fixed point comes after about 55 steps.
+    """
     q = np.atleast_1d(_as_array(q))
     lo_arr = np.full_like(q, lo)
     if math.isfinite(hi):
@@ -137,8 +144,12 @@ def _invert_cdf(cdf_fn, q, lo, hi, iters: int = 200):
     for _ in range(iters):
         mid = 0.5 * (lo_arr + hi_arr)
         below = cdf_fn(mid) < q
-        lo_arr = np.where(below, mid, lo_arr)
-        hi_arr = np.where(below, hi_arr, mid)
+        new_lo = np.where(below, mid, lo_arr)
+        new_hi = np.where(below, hi_arr, mid)
+        # compared as bytes: -0.0 and 0.0 differ, equal NaNs match
+        if new_hi.tobytes() == hi_arr.tobytes() and new_lo.tobytes() == lo_arr.tobytes():
+            break
+        lo_arr, hi_arr = new_lo, new_hi
     return hi_arr
 
 

@@ -57,6 +57,9 @@ class RiskModel:
     beta: float = 1.0
 
     def __post_init__(self):
+        for name in ("u", "lam", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.u < 0:
             raise ParameterError("initial capital must be nonnegative")
         if self.lam <= 0:

@@ -38,6 +38,7 @@ __all__ = [
     "volterra_residual",
     "alpha_ruin_laplace_check",
     "alpha_ruin",
+    "alpha_ruin_grid",
     "max_ruin_ode",
     "max_ruin_integral_residual",
     "max_ruin_lom",
@@ -95,9 +96,15 @@ def alpha_ruin_volterra(F_of_U_alpha: Distribution, gamma: float, beta_alpha: fl
     Uniform grid, trapezoidal product integration; q = gamma / beta^alpha and
     rho = q * (mean of F).  Second-order accurate in the grid step.
     """
+    return _volterra_grid(F_of_U_alpha, gamma, beta_alpha, z_max, steps,
+                          moment_alpha(F_of_U_alpha, 1.0))
+
+
+def _volterra_grid(F_of_U_alpha: Distribution, gamma: float, beta_alpha: float,
+                   z_max: float, steps: int, mu: float) -> SurvivalGrid:
+    """The solver behind alpha_ruin_volterra, given the claim mean mu."""
     if gamma <= 0 or beta_alpha <= 0 or z_max <= 0 or steps < 2:
         raise ParameterError("need positive gamma, beta_alpha, z_max and steps >= 2")
-    mu = moment_alpha(F_of_U_alpha, 1.0)
     q = gamma / beta_alpha
     rho = q * mu
     if not math.isfinite(rho) or rho >= 1.0:
@@ -164,26 +171,42 @@ def alpha_ruin_laplace_check(grid: SurvivalGrid, F: Distribution, gamma: float,
 def alpha_ruin(u: float, model: RiskModel, z_max: float | None = None,
                steps: int = 2000) -> RuinEstimate:
     """Survival/ruin at capital u for the alpha-stable model: delta(u^alpha)."""
+    return alpha_ruin_grid([u], model, z_max, steps)[0]
+
+
+def alpha_ruin_grid(us, model: RiskModel, z_max: float | None = None,
+                    steps: int = 2000) -> list[RuinEstimate]:
+    """alpha_ruin at each capital in us, in order.
+
+    The claim mean is computed once, and capitals that share a z_max (the
+    default is max(10, 5 u^alpha)) share one Volterra solve, so every
+    estimate equals the one alpha_ruin gives for that capital alone.
+    """
     if model.algebra.kind != "alpha_stable":
         raise ParameterError("alpha_ruin requires the alpha-stable algebra")
     if model.premium_law.family != "lom_alpha":
         raise UnsupportedLawError("alpha-model premiums must be the lack-of-memory law")
-    if u < 0:
-        raise ParameterError("u must be nonnegative")
     a = model.algebra.alpha
     gamma = model.premium_law.params["gamma"]
     beta_alpha = model.beta**a
     F = power_transform(model.claim_law, a)
-    zu = u**a
-    if z_max is None:
-        z_max = max(10.0, 5.0 * zu)
-    if zu > z_max:
-        raise ParameterError(f"u^alpha = {zu} exceeds z_max = {z_max}")
-    grid = alpha_ruin_volterra(F, gamma, beta_alpha, z_max, steps)
-    surv = float(grid(zu))
-    rho = gamma * moment_alpha(F, 1.0) / beta_alpha
-    return RuinEstimate(surv, 1.0 - surv, method="volterra",
-                        diagnostics={"rho": rho, "z": zu, "z_max": z_max, "steps": steps})
+    mu = moment_alpha(F, 1.0)
+    rho = gamma * mu / beta_alpha
+    grids: dict[float, SurvivalGrid] = {}
+    out = []
+    for u in us:
+        if not (math.isfinite(u) and u >= 0):
+            raise ParameterError(f"u must be finite and nonnegative, got {u}")
+        zu = u**a
+        zm = max(10.0, 5.0 * zu) if z_max is None else z_max
+        if zu > zm:
+            raise ParameterError(f"u^alpha = {zu} exceeds z_max = {zm}")
+        if zm not in grids:
+            grids[zm] = _volterra_grid(F, gamma, beta_alpha, zm, steps, mu)
+        surv = float(grids[zm](zu))
+        out.append(RuinEstimate(surv, 1.0 - surv, method="volterra",
+                                diagnostics={"rho": rho, "z": zu, "z_max": zm, "steps": steps}))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,11 @@ def simulate_terminal_generic(alg: ConvolutionAlgebra, step_law: Distribution, n
 
     Deliberately independent of apply_step_batch: each move builds the exact
     law delta_x <> delta_u and samples it through its quantile function.
+    That costs one closed-form quantile for Kendall and Kingman (Beta
+    quantile by ``special.betaincinv``; the fast path draws ``rng.beta``),
+    and one bisection of the pair CDF for Kendall-type, which stops at its
+    fixed point after about 55 CDF evaluations.  It is a per-path Python
+    loop: keep ``paths * n`` small (hundreds to a few thousand moves).
     """
     if n < 0 or paths < 1:
         raise ParameterError("need n >= 0 and paths >= 1")

@@ -165,3 +165,39 @@ def test_bad_grid_exits_2(tmp_path):
     assert cli.main(["--out", str(tmp_path), "convolve",
                      "--algebra", '{"kind": "max"}',
                      "--x", "1", "--y", "1", "--grid", "nope"]) == 2
+
+
+def _with(model: str, **fields) -> str:
+    obj = json.loads(model)
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+CONVOLVE = ["convolve", "--algebra", '{"kind": "kendall", "alpha": 1.0}']
+TRANSFORM = ["transform", "--algebra", '{"kind": "classical"}',
+             "--law", '{"family": "point", "a": 1.0}']
+
+
+@pytest.mark.parametrize("argv, data_file", [
+    (["ruin", "--model", ALPHA_MODEL, "--u", "nan"], "ruin.csv"),
+    (["ruin", "--model", ALPHA_MODEL, "--u", "inf"], "ruin.csv"),
+    (["ruin", "--model", KENDALL_MODEL, "--method", "mc", "--t", "nan",
+      "--paths", "10", "--horizon", "2"], "ruin.csv"),
+    (["safety", "--model", KENDALL_MODEL, "--t", "inf"], "safety.json"),
+    (CONVOLVE + ["--x", "nan", "--y", "1"], "convolve.csv"),
+    (CONVOLVE + ["--x", "1", "--y=-inf"], "convolve.csv"),
+    (["walk", "--algebra", '{"kind": "max"}', "--n", "2", "--start", "nan",
+      "--step-law", '{"family": "uniform", "a": 0, "b": 1}'], "walk.csv"),
+    (["ruin", "--model", ALPHA_MODEL, "--u-grid", "0:nan:5"], "ruin.csv"),
+    (["ruin", "--model", ALPHA_MODEL, "--u-grid", "0:inf:5"], "ruin.csv"),
+    (CONVOLVE + ["--x", "1", "--y", "1", "--grid", "nan:1:3"], "convolve.csv"),
+    (TRANSFORM + ["--t-grid", "0:inf:3"], "transform.csv"),
+    (["ruin", "--model", _with(ALPHA_MODEL, u=math.nan)], "ruin.csv"),
+    (["ruin", "--model", _with(KENDALL_MODEL, **{"lambda": math.inf})], "ruin.csv"),
+    (["ruin", "--model", _with(ALPHA_MODEL, beta=math.nan)], "ruin.csv"),
+])
+def test_non_finite_input_exits_2(tmp_path, capsys, argv, data_file):
+    assert cli.main(["--out", str(tmp_path), *argv]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / data_file).exists()
+    assert not list(tmp_path.glob("*_meta.json"))

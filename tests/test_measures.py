@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gcruin import convolutions as co
 from gcruin import measures as me
 
 
@@ -65,6 +66,61 @@ def test_quantile_bisection_fallback():
                         math.inf, 0.0)
     q = np.array([0.1, 0.5, 0.9])
     np.testing.assert_allclose(d.quantile(q), base.quantile(q), atol=1e-9)
+
+
+def _bisect_200(cdf_fn, q, lo, hi, iters=200):
+    """The bisection inverse run for all its steps, with no early stop."""
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    lo_arr = np.full_like(q, lo)
+    if math.isfinite(hi):
+        hi_arr = np.full_like(q, hi)
+    else:
+        hi_arr = np.maximum(lo + 1.0, 1.0) * np.ones_like(q)
+        for _ in range(200):
+            bad = cdf_fn(hi_arr) < q
+            if not np.any(bad):
+                break
+            hi_arr[bad] *= 2.0
+    for _ in range(iters):
+        mid = 0.5 * (lo_arr + hi_arr)
+        below = cdf_fn(mid) < q
+        lo_arr = np.where(below, mid, lo_arr)
+        hi_arr = np.where(below, hi_arr, mid)
+    return hi_arr
+
+
+def _inversion_laws():
+    alg = co.kendall_type(3.0)
+    return {
+        "kendall_type_pair": co.convolve_points(alg, 0.6, 1.5),
+        "kendall_type_lambda1": co._kendall_type_lambda1(alg),
+        "table": me.table([(0.5, 0.3), (2.0, 0.2)], [(0.0, 0.0), (1.0, 0.25), (3.0, 0.5)]),
+    }
+
+
+@pytest.mark.parametrize("name", ["kendall_type_pair", "kendall_type_lambda1", "table"])
+def test_invert_cdf_stops_at_fixed_point_with_identical_bits(name):
+    d = _inversion_laws()[name]
+    calls = []
+
+    def cdf(x):
+        calls.append(1)
+        return d.cdf_fn(x)
+
+    masses = np.cumsum([m for _, m in d.atoms])
+    special = np.concatenate([masses, np.nextafter(masses, 0.0), np.nextafter(masses, 1.0)])
+    q = np.concatenate([np.random.default_rng(5).random(2000), special[special < 1.0]])
+    got = me._invert_cdf(cdf, q, d.support_lower, d.support_upper)
+    want = _bisect_200(d.cdf_fn, q, d.support_lower, d.support_upper)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert len(calls) <= 80          # bracket doubling plus about 55 bisection steps
+
+    # extreme and NaN arguments: may run longer, up to the cap, with the same bits
+    edge = np.array([1e-16, 1.0 - 1e-16, np.nan])
+    for qi in edge:
+        got = me._invert_cdf(d.cdf_fn, [qi], d.support_lower, d.support_upper)
+        want = _bisect_200(d.cdf_fn, [qi], d.support_lower, d.support_upper)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_moment_alpha_closed_forms():

@@ -95,6 +95,21 @@ def test_alpha_ruin_entry_point():
         ru.alpha_ruin(2.0, max_model())
     with pytest.raises(me.UnsupportedLawError):
         ru.alpha_ruin(0.0, ri.RiskModel(co.alpha_stable(1.0), F_EXP, me.uniform(0, 1)))
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(me.ParameterError):
+            ru.alpha_ruin(bad, alpha_model())
+
+
+def test_alpha_ruin_grid_equals_one_solve_per_capital():
+    # u = 0, 1, 2 share z_max = 10; 2.5 and 3 get z_max = 12.5 and 15
+    us = [0.0, 1.0, 2.0, 2.5, 3.0]
+    ests = ru.alpha_ruin_grid(us, alpha_model(), steps=400)
+    for u, est in zip(us, ests):
+        z_max = max(10.0, 5.0 * u)
+        grid = ru.alpha_ruin_volterra(F_EXP, GAMMA, BETA_ALPHA, z_max=z_max, steps=400)
+        assert est.survival == float(grid(u))
+        assert est.diagnostics["z_max"] == z_max
+        assert est == ru.alpha_ruin(u, alpha_model(), steps=400)
 
 
 # ---------------------------------------------------------------------------
