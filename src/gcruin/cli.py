@@ -23,19 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convolutions import ConvolutionAlgebra, algebra_from_json, char_fn, convolve_points
-from .measures import (
-    Distribution,
-    ParameterError,
-    UnsupportedLawError,
-    distribution_from_json,
-)
+from .convolutions import algebra_from_json, char_fn, convolve_points, dilate
+from .measures import ParameterError, UnsupportedLawError, distribution_from_json
 from .risk import RiskModel, safety_condition_kendall, safety_condition_max
 from .ruin import (
     CertainRuinError,
     RuinEstimate,
     alpha_ruin_grid,
-    max_ruin_lom,
+    has_max_closed_form,
+    max_ruin_closed,
     max_ruin_ode,
     mc_ruin,
     mc_ruin_finite_t,
@@ -184,45 +180,25 @@ def _cmd_safety(args, out: Path) -> dict:
 
 
 def _auto_method(model: RiskModel) -> str:
-    kind = model.algebra.kind
-    if kind == "alpha_stable":
+    if model.algebra.kind == "alpha_stable":
         return "volterra"
-    if kind == "max":
-        if model.premium_law.family in ("point", "lom_max"):
-            return "closed"
-        if model.claim_law.density is not None and model.premium_law.density is not None:
-            if (model.claim_law.family == "uniform" and model.premium_law.family == "uniform"
-                    and model.claim_law.params["a"] == 0.0
-                    and model.premium_law.params["a"] == 0.0):
-                return "closed"
-            return "ode"
+    if has_max_closed_form(model):
+        return "closed"
+    if model.algebra.kind == "max" and model.claim_law.density and model.premium_law.density:
+        return "ode"
     return "mc"
-
-
-def _max_closed_estimate(model: RiskModel, u: float) -> RuinEstimate:
-    F, G = model.claim_law, model.premium_law
-    if G.family in ("point", "lom_max"):
-        return max_ruin_lom(u, G.params["a"], F)
-    if (F.family == "uniform" and G.family == "uniform"
-            and F.params["a"] == 0.0 and G.params["a"] == 0.0):
-        a, b = F.params["b"], G.params["b"]
-        if a < b:
-            if u >= a:
-                surv = 1.0
-            else:
-                surv = math.sqrt((1.0 - a / b) / (1.0 - u * u / (a * b)))
-            return RuinEstimate(surv, 1.0 - surv, method="closed_form",
-                                diagnostics={"a": a, "b": b})
-    raise _ValidationError("no closed form for this max-model law pair")
 
 
 def _ruin_one(model: RiskModel, method: str, u: float, args) -> RuinEstimate:
     if method == "ode":
-        grid = max_ruin_ode(model.claim_law, model.premium_law, np.array([0.0, max(u, 1e-12)]))
+        if model.algebra.kind != "max":
+            raise _ValidationError("the ode method solves the max model only")
+        grid = max_ruin_ode(model.claim_law, dilate(model.premium_law, model.beta),
+                            np.array([0.0, max(u, 1e-12)]))
         surv = float(grid.delta_values[-1])
         return RuinEstimate(surv, 1.0 - surv, method="ode")
     if method == "closed":
-        return _max_closed_estimate(model, u)
+        return max_ruin_closed(u, model)
     if method == "mc":
         m = RiskModel(model.algebra, model.claim_law, model.premium_law,
                       u=u, lam=model.lam, beta=model.beta)
@@ -269,8 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gcruin",
                                 description="Generalized-convolution walks and ruin probabilities")
     p.add_argument("--out", default=".", help="output directory (default: current)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker count; affects wall time only, never results")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("sample", help="draw from a distribution")

@@ -22,7 +22,7 @@ from .measures import (
     ParameterError,
     QUAD_TOL,
     _as_array,
-    pareto_2alpha,
+    _check_finite,
     point_mass,
 )
 
@@ -75,6 +75,7 @@ def symmetric() -> ConvolutionAlgebra:
 
 
 def alpha_stable(alpha: float) -> ConvolutionAlgebra:
+    _check_finite(alpha=alpha)
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     return ConvolutionAlgebra("alpha_stable", alpha=alpha)
@@ -85,12 +86,14 @@ def max_algebra() -> ConvolutionAlgebra:
 
 
 def kendall(alpha: float) -> ConvolutionAlgebra:
+    _check_finite(alpha=alpha)
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     return ConvolutionAlgebra("kendall", alpha=alpha)
 
 
 def kingman(s: float) -> ConvolutionAlgebra:
+    _check_finite(s=s)
     if s <= -0.5:
         raise ParameterError("kingman requires s > -1/2")
     return ConvolutionAlgebra("kingman", s=s)
@@ -103,6 +106,7 @@ def kendall_type(p: float, c: Optional[float] = None) -> ConvolutionAlgebra:
     other (c, p) combinations are rejected.  The mixing laws are validated
     to have total mass 1 at construction time.
     """
+    _check_finite(p=p, c=c)
     if p < 2:
         raise ParameterError("kendall_type requires p >= 2")
     expected_c = 1.0 / (p - 1.0)
@@ -171,6 +175,7 @@ def _kingman_kernel(s: float, t: np.ndarray) -> np.ndarray:
 
 def dilate(d: Distribution, a: float) -> Distribution:
     """Pushforward of d under scaling by a; a = 0 gives delta_0."""
+    _check_finite(a=a)
     if a < 0:
         raise ParameterError("dilation factor must be nonnegative")
     if a == 0.0:
@@ -203,6 +208,7 @@ def dilate(d: Distribution, a: float) -> Distribution:
 
 def convolve_points(alg: ConvolutionAlgebra, x: float, y: float) -> Distribution:
     """The exact law delta_x <> delta_y as a Distribution."""
+    _check_finite(x=x, y=y)
     if x < 0 or y < 0:
         raise ParameterError("points must be nonnegative")
     if y == 0.0:

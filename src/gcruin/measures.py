@@ -27,7 +27,6 @@ __all__ = [
     "point_mass",
     "table",
     "moment_alpha",
-    "sample",
     "distribution_from_json",
     "power_transform",
 ]
@@ -49,6 +48,13 @@ class UnsupportedLawError(ValueError):
 
 def _as_array(x):
     return np.asarray(x, dtype=float)
+
+
+def _check_finite(**params) -> None:
+    """Raise ParameterError unless each named number given (not None) is finite."""
+    for name, value in params.items():
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,8 @@ class Distribution:
 
     def quantile(self, q):
         q = _as_array(q)
-        if np.any((q <= 0.0) | (q >= 1.0)):
+        # written so that NaN fails the test too
+        if not np.all((q > 0.0) & (q < 1.0)):
             raise ParameterError("quantile argument must lie in (0, 1)")
         if self.quantile_fn is not None:
             out = self.quantile_fn(q)
@@ -159,6 +166,7 @@ def _invert_cdf(cdf_fn, q, lo, hi, iters: int = 200):
 
 def pareto_2alpha(alpha: float) -> Distribution:
     """Pareto law on [1, oo) with density 2a x^(-2a-1); tail index 2a."""
+    _check_finite(alpha=alpha)
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     a2 = 2.0 * alpha
@@ -183,6 +191,7 @@ def lom_alpha(gamma: float, alpha: float) -> Distribution:
 
     Plays the exponential's role (lack of memory) for the alpha-stable algebra.
     """
+    _check_finite(gamma=gamma, alpha=alpha)
     if gamma <= 0 or alpha <= 0:
         raise ParameterError("gamma and alpha must be positive")
 
@@ -204,6 +213,7 @@ def lom_alpha(gamma: float, alpha: float) -> Distribution:
 
 def point_mass(a: float) -> Distribution:
     """The degenerate law delta_a."""
+    _check_finite(a=a)
     if a < 0:
         raise ParameterError("point mass location must be nonnegative")
 
@@ -228,6 +238,7 @@ def lom_max(a: float) -> Distribution:
 
 def lom_kendall(c: float, alpha: float) -> Distribution:
     """Lack-of-memory law for the Kendall algebra: F(x) = min{(cx)^alpha, 1}."""
+    _check_finite(c=c, alpha=alpha)
     if c <= 0 or alpha <= 0:
         raise ParameterError("c and alpha must be positive")
     upper = 1.0 / c
@@ -251,6 +262,7 @@ def lom_kendall(c: float, alpha: float) -> Distribution:
 
 def uniform(a: float, b: float) -> Distribution:
     """Uniform law on (a, b), 0 <= a < b."""
+    _check_finite(a=a, b=b)
     if not (0 <= a < b):
         raise ParameterError("need 0 <= a < b")
     width = b - a
@@ -282,6 +294,8 @@ def table(atoms: Sequence[tuple[float, float]],
         raise ParameterError("atoms need nonnegative locations and masses")
     xs = np.array([p[0] for p in cdf_points], dtype=float)
     cs = np.array([p[1] for p in cdf_points], dtype=float)
+    for x, v in (*atoms, *zip(xs, cs)):
+        _check_finite(table_point=x, table_value=v)
     if xs.size:
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(cs) < 0) or cs[0] < 0:
             raise ParameterError("cdf_points must be strictly increasing in x and nondecreasing in C")
@@ -363,11 +377,6 @@ def moment_alpha(d: Distribution, alpha: float) -> float:
     if ratio <= 0.95 and prev * ratio / (1.0 - ratio) < 1e-8 * max(total, 1.0):
         return total
     return math.inf
-
-
-def sample(d: Distribution, n: int, seed: int) -> np.ndarray:
-    """Module-level alias for :meth:`Distribution.sample`."""
-    return d.sample(n, seed)
 
 
 def power_transform(d: Distribution, alpha: float) -> Distribution:

@@ -26,7 +26,7 @@ from .measures import (
     UnsupportedLawError,
     moment_alpha,
 )
-from .walks import CHUNK, apply_step_batch
+from .walks import apply_step_batch, chunk_streams
 from .williamson import KendallLawPair, kendall_pair
 
 __all__ = [
@@ -113,15 +113,11 @@ def mc_poisson_terminal(alg: ConvolutionAlgebra, step_law: Distribution,
     if paths < 1:
         raise ParameterError("paths must be >= 1")
     out = np.empty(paths)
-    for ci, lo in enumerate(range(0, paths, CHUNK)):
-        hi = min(lo + CHUNK, paths)
-        width = hi - lo
-        rng = np.random.default_rng([seed, ci])
-        counts = rng.poisson(lam * t, width)
-        x = np.full(width, float(start))
+    for lo, hi, rng in chunk_streams(paths, seed):
+        counts = rng.poisson(lam * t, hi - lo)
+        x = np.full(hi - lo, float(start))
         for k in range(1, int(counts.max(initial=0)) + 1):
-            u = step_law.sample(width, rng)
-            moved = apply_step_batch(alg, x, u, rng)
+            moved = apply_step_batch(alg, x, step_law.sample(hi - lo, rng), rng)
             x = np.where(k <= counts, moved, x)
         out[lo:hi] = x
     return out
@@ -192,7 +188,9 @@ def expected_premium_side_max(model: RiskModel, t: float) -> ValuePair:
 
 
 def safety_condition_max(model: RiskModel, t: float) -> SafetyReport:
-    """First safety condition E R_t > 0 in the max algebra's natural scale."""
+    """First safety condition E R_t > 0 in the max algebra's natural scale, beta = 1."""
+    if model.beta != 1.0:
+        raise UnsupportedLawError(f"safety conditions need beta = 1, got {model.beta}")
     claim = expected_claim_side_max(model, t)
     premium = expected_premium_side_max(model, t)
     margin = premium.value - claim
@@ -292,6 +290,8 @@ def safety_condition_kendall(model: RiskModel, t: float) -> SafetyReport:
     """
     if model.algebra.kind != "kendall":
         raise ParameterError("kendall safety condition requires the kendall algebra")
+    if model.beta != 1.0:
+        raise UnsupportedLawError(f"safety conditions need beta = 1, got {model.beta}")
     a = model.algebra.alpha
     for law in (model.claim_law, model.premium_law):
         if law.family != "lom_kendall" or law.params["alpha"] != a:

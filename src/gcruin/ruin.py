@@ -26,7 +26,7 @@ from .measures import (
     power_transform,
 )
 from .risk import RiskModel
-from .walks import CHUNK, apply_step_batch
+from .walks import apply_step_batch, chunk_streams
 
 __all__ = [
     "CertainRuinError",
@@ -42,6 +42,8 @@ __all__ = [
     "max_ruin_ode",
     "max_ruin_integral_residual",
     "max_ruin_lom",
+    "has_max_closed_form",
+    "max_ruin_closed",
     "mc_ruin",
     "mc_ruin_finite_t",
     "kendall_lambda_recursion_check",
@@ -289,6 +291,40 @@ def max_ruin_lom(u: float, a: float, F: Distribution) -> RuinEstimate:
                         diagnostics={"level": level, "F_at_level": float(F.cdf(level))})
 
 
+def has_max_closed_form(model: RiskModel) -> bool:
+    """Whether max_ruin_closed covers the model: the max algebra with a
+    point-mass premium, or uniform claims and premiums both starting at 0."""
+    F, G = model.claim_law, model.premium_law
+    return model.algebra.kind == "max" and (
+        G.family in ("point", "lom_max")
+        or (F.family == G.family == "uniform" and F.params["a"] == G.params["a"] == 0.0))
+
+
+def max_ruin_closed(u: float, model: RiskModel) -> RuinEstimate:
+    """Closed-form max-model survival at capital u, premium steps beta * W.
+
+    A point-mass premium delta_a is max_ruin_lom at beta * a.  Claims uniform
+    on (0, a) against premium steps uniform on (0, b), b = beta * b_W: survival
+    is 1 for u >= a, and below a it is sqrt((1 - a/b) / (1 - u^2/(ab))) when
+    a < b, else 0 (the claim walk passes every level the premiums reach).
+    """
+    if not has_max_closed_form(model):
+        raise UnsupportedLawError("no closed form for this max-model law pair")
+    if not (math.isfinite(u) and u >= 0):
+        raise ParameterError(f"u must be finite and nonnegative, got {u}")
+    F, G = model.claim_law, model.premium_law
+    if G.family in ("point", "lom_max"):
+        return max_ruin_lom(u, model.beta * G.params["a"], F)
+    a, b = F.params["b"], model.beta * G.params["b"]
+    if u >= a:
+        surv = 1.0
+    elif a < b:
+        surv = math.sqrt((1.0 - a / b) / (1.0 - u * u / (a * b)))
+    else:
+        surv = 0.0
+    return RuinEstimate(surv, 1.0 - surv, method="closed_form", diagnostics={"a": a, "b": b})
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
 # ---------------------------------------------------------------------------
@@ -326,29 +362,38 @@ def _alpha_mc_survival_chunk(model: RiskModel, width: int, horizon: int,
     return alive
 
 
-def _paired_walk_survival_chunk(model: RiskModel, width: int, horizon: int,
-                                rng: np.random.Generator) -> np.ndarray:
-    """Generic engine: claim walk from 0 vs premium walk from u, any algebra."""
+def _paired_walk(model: RiskModel, x: np.ndarray, y: np.ndarray,
+                 rng: np.random.Generator, steps: int,
+                 counts: np.ndarray | None = None):
+    """Step the claim walk x against the premium walk y; return (x, y, alive).
+
+    A path is alive while y > x after each of its steps.  Path i takes
+    `steps` steps, or counts[i] when counts is given; every step still draws
+    full-width samples, so a path's randomness never depends on the others'
+    counts.  The loop stops early once no path can change: all are ruined,
+    or, in the max model, every survivor is above the claim supremum.  The
+    returned x and y are the states at that point.
+    """
     alg = model.algebra
-    x = np.zeros(width)
-    y = np.full(width, float(model.u))
-    alive = np.ones(width, dtype=bool)
     a_sup = model.claim_law.support_upper
-    saturating = alg.kind == "max" and not model.claim_law.atoms and math.isfinite(a_sup)
-    certain = np.zeros(width, dtype=bool)
-    for _ in range(horizon):
-        cu = model.claim_law.sample(width, rng)
-        x = apply_step_batch(alg, x, cu, rng)
-        pu = model.beta * model.premium_law.sample(width, rng)
-        y = apply_step_batch(alg, y, pu, rng)
-        alive &= certain | (y > x)
-        if saturating:
-            certain |= alive & (y >= a_sup)
-            if np.all(~alive | certain):
-                break
-        elif not alive.any():
+    saturating = alg.kind == "max" and math.isfinite(a_sup)
+    alive = np.ones(x.shape[0], dtype=bool)
+    for k in range(1, steps + 1):
+        x_new = apply_step_batch(alg, x, model.claim_law.sample(x.shape[0], rng), rng)
+        pu = model.beta * model.premium_law.sample(x.shape[0], rng)
+        y_new = apply_step_batch(alg, y, pu, rng)
+        if counts is None:
+            x, y = x_new, y_new
+            alive &= y > x
+        else:
+            active = k <= counts
+            x = np.where(active, x_new, x)
+            y = np.where(active, y_new, y)
+            alive &= ~active | (y > x)
+        undecided = alive & (y <= a_sup) if saturating else alive
+        if not undecided.any():
             break
-    return alive
+    return x, y, alive
 
 
 def mc_ruin(model: RiskModel, horizon_claims: int = 10_000, paths: int = 100_000,
@@ -365,13 +410,12 @@ def mc_ruin(model: RiskModel, horizon_claims: int = 10_000, paths: int = 100_000
                   and model.premium_law.family == "lom_alpha"
                   and model.premium_law.params["alpha"] == model.algebra.alpha)
     survivors = 0
-    for ci, lo in enumerate(range(0, paths, CHUNK)):
-        width = min(lo + CHUNK, paths) - lo
-        rng = np.random.default_rng([seed, ci])
+    for lo, hi, rng in chunk_streams(paths, seed):
         if fast_alpha:
-            alive = _alpha_mc_survival_chunk(model, width, horizon_claims, rng)
+            alive = _alpha_mc_survival_chunk(model, hi - lo, horizon_claims, rng)
         else:
-            alive = _paired_walk_survival_chunk(model, width, horizon_claims, rng)
+            _, _, alive = _paired_walk(model, np.zeros(hi - lo),
+                                       np.full(hi - lo, float(model.u)), rng, horizon_claims)
         survivors += int(alive.sum())
     surv = survivors / paths
     lo_ci, hi_ci = wilson_interval(survivors, paths, confidence)
@@ -386,24 +430,11 @@ def mc_ruin_finite_t(model: RiskModel, t: float, paths: int = 100_000,
     """Ruin by time t: survive the first N claims with N ~ Poisson(lam * t)."""
     if t <= 0 or paths < 1:
         raise ParameterError("need t > 0 and paths >= 1")
-    alg = model.algebra
     survivors = 0
-    for ci, lo in enumerate(range(0, paths, CHUNK)):
-        width = min(lo + CHUNK, paths) - lo
-        rng = np.random.default_rng([seed, ci])
-        counts = rng.poisson(model.lam * t, width)
-        x = np.zeros(width)
-        y = np.full(width, float(model.u))
-        alive = np.ones(width, dtype=bool)
-        for k in range(1, int(counts.max(initial=0)) + 1):
-            cu = model.claim_law.sample(width, rng)
-            x_new = apply_step_batch(alg, x, cu, rng)
-            pu = model.beta * model.premium_law.sample(width, rng)
-            y_new = apply_step_batch(alg, y, pu, rng)
-            active = k <= counts
-            x = np.where(active, x_new, x)
-            y = np.where(active, y_new, y)
-            alive &= ~active | (y > x)
+    for lo, hi, rng in chunk_streams(paths, seed):
+        counts = rng.poisson(model.lam * t, hi - lo)
+        _, _, alive = _paired_walk(model, np.zeros(hi - lo), np.full(hi - lo, float(model.u)),
+                                   rng, int(counts.max(initial=0)), counts)
         survivors += int(alive.sum())
     surv = survivors / paths
     lo_ci, hi_ci = wilson_interval(survivors, paths, confidence)
@@ -425,23 +456,6 @@ class RecursionCheck:
     ci_high: float
 
 
-def _kendall_survival_from(v: np.ndarray, u: np.ndarray, model: RiskModel,
-                           horizon: int, rng: np.random.Generator) -> np.ndarray:
-    """Indicator of {premium walk from u dominates claim walk from v for
-    horizon steps} per path, Kendall algebra."""
-    alg = model.algebra
-    x = np.array(v, dtype=float, copy=True)
-    y = np.array(u, dtype=float, copy=True)
-    alive = np.ones(x.shape[0], dtype=bool)
-    for _ in range(horizon):
-        cu = model.claim_law.sample(x.shape[0], rng)
-        x = apply_step_batch(alg, x, cu, rng)
-        pu = model.beta * model.premium_law.sample(x.shape[0], rng)
-        y = apply_step_batch(alg, y, pu, rng)
-        alive &= y > x
-    return alive
-
-
 def kendall_lambda_recursion_check(v: float, u: float, model: RiskModel,
                                    paths_outer: int = 10_000, paths_inner: int = 1_000,
                                    horizon: int = 16, seed: int = 0,
@@ -460,30 +474,23 @@ def kendall_lambda_recursion_check(v: float, u: float, model: RiskModel,
         raise ParameterError("need paths_outer >= 2, paths_inner >= 1, horizon >= 1")
     z = stats.norm.ppf(0.5 + confidence / 2.0)
 
-    rng_l = np.random.default_rng([seed, 1])
-    alive = _kendall_survival_from(np.full(paths_outer, float(v)),
-                                   np.full(paths_outer, float(u)),
-                                   model, horizon + 1, rng_l)
+    starts_v = np.full(paths_outer, float(v))
+    starts_u = np.full(paths_outer, float(u))
+    _, _, alive = _paired_walk(model, starts_v, starts_u, np.random.default_rng([seed, 1]),
+                               horizon + 1)
     lhs = float(alive.mean())
     se_l = math.sqrt(max(lhs * (1.0 - lhs), 1e-12) / paths_outer)
 
-    rng_r = np.random.default_rng([seed, 2])
-    cu = model.claim_law.sample(paths_outer, rng_r)
-    x1 = apply_step_batch(model.algebra, np.full(paths_outer, float(v)), cu, rng_r)
-    pu = model.beta * model.premium_law.sample(paths_outer, rng_r)
-    y1 = apply_step_batch(model.algebra, np.full(paths_outer, float(u)), pu, rng_r)
+    x1, y1, _ = _paired_walk(model, starts_v, starts_u, np.random.default_rng([seed, 2]), 1)
     cluster = np.zeros(paths_outer)
     idx = np.nonzero(y1 > x1)[0]
     if idx.size:
         starts_x = np.repeat(x1[idx], paths_inner)
         starts_y = np.repeat(y1[idx], paths_inner)
         inner_alive = np.empty(starts_x.shape[0], dtype=bool)
-        block = 1 << 20
-        for ci, lo in enumerate(range(0, starts_x.shape[0], block)):
-            hi = min(lo + block, starts_x.shape[0])
-            rng_i = np.random.default_rng([seed, 3, ci])
-            inner_alive[lo:hi] = _kendall_survival_from(
-                starts_x[lo:hi], starts_y[lo:hi], model, horizon, rng_i)
+        for lo, hi, rng in chunk_streams(starts_x.shape[0], seed, width=1 << 20, key=(3,)):
+            _, _, inner_alive[lo:hi] = _paired_walk(model, starts_x[lo:hi], starts_y[lo:hi],
+                                                    rng, horizon)
         cluster[idx] = inner_alive.reshape(idx.size, paths_inner).mean(axis=1)
     rhs = float(cluster.mean())
     se_r = float(cluster.std(ddof=1)) / math.sqrt(paths_outer)

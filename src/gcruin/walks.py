@@ -9,9 +9,9 @@ is kept as an independent cross-check of the specialized recursions.
 
 Determinism contract: single paths draw their randomness from a per-step
 stream seeded by (seed, step index), so a path restarted from (X_k, seed)
-at step offset k reproduces its suffix exactly.  Batched simulation splits
-the paths into fixed-size chunks with streams seeded by (seed, chunk index),
-so results are independent of scheduling or worker count.
+at step offset k reproduces its suffix exactly.  Every batched Monte Carlo
+routine splits its paths with chunk_streams into fixed-width chunks with
+streams seeded by (seed, chunk index), so results never depend on scheduling.
 """
 
 from __future__ import annotations
@@ -30,15 +30,24 @@ __all__ = [
     "WalkPath",
     "kendall_step",
     "apply_step_batch",
-    "step_batch",
     "simulate",
     "simulate_terminal",
     "simulate_terminal_generic",
     "simulate_generic_vs_specialized",
 ]
 
-#: fixed batch width; the chunk partition never depends on worker count
+#: fixed batch width; the chunk partition depends only on the path count
 CHUNK = 16384
+
+
+def chunk_streams(paths: int, seed: int, width: int = CHUNK, key: tuple = ()):
+    """Yield (lo, hi, rng) for paths [lo, hi) in chunks of `width`.
+
+    Chunk ci draws from default_rng([seed, *key, ci]); `key` separates
+    streams that share a seed.
+    """
+    for ci, lo in enumerate(range(0, paths, width)):
+        yield lo, min(lo + width, paths), np.random.default_rng([seed, *key, ci])
 
 
 @dataclass(frozen=True)
@@ -136,13 +145,6 @@ def _kendall_type_step_batch(alg: ConvolutionAlgebra, x: np.ndarray, u: np.ndarr
     return out
 
 
-def step_batch(alg: ConvolutionAlgebra, step_law: Distribution, x: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-    """Draw the step values from step_law, then apply one algebra move."""
-    u = step_law.sample(x.shape[0], rng)
-    return apply_step_batch(alg, x, u, rng)
-
-
 def simulate(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
              start: float = 0.0, seed: int = 0, first_step: int = 0) -> WalkPath:
     """One walk of n steps from `start`; step k uses the stream (seed, k).
@@ -173,12 +175,10 @@ def simulate_terminal(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
     if n < 0 or paths < 1:
         raise ParameterError("need n >= 0 and paths >= 1")
     out = np.empty(paths)
-    for ci, lo in enumerate(range(0, paths, CHUNK)):
-        hi = min(lo + CHUNK, paths)
-        rng = np.random.default_rng([seed, ci])
+    for lo, hi, rng in chunk_streams(paths, seed):
         x = np.full(hi - lo, float(start))
         for _ in range(n):
-            x = step_batch(alg, step_law, x, rng)
+            x = apply_step_batch(alg, x, step_law.sample(hi - lo, rng), rng)
         out[lo:hi] = x
     return out
 

@@ -206,7 +206,6 @@ def _closed_form_h(d: Distribution, alpha: float):
         def H(x):
             x = _as_array(x)
             xb = np.maximum(x, 1e-300) / b   # = 1/(b t)
-            inside = alpha / ((alpha + 1.0) * np.maximum(1.0 / xb, 1e-300))
             outside = 1.0 - np.power(1.0 / np.maximum(xb, 1e-300), alpha) / (alpha + 1.0)
             return np.where(xb <= 1.0, alpha * xb / (alpha + 1.0), outside)
 

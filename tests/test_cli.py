@@ -195,9 +195,73 @@ TRANSFORM = ["transform", "--algebra", '{"kind": "classical"}',
     (["ruin", "--model", _with(ALPHA_MODEL, u=math.nan)], "ruin.csv"),
     (["ruin", "--model", _with(KENDALL_MODEL, **{"lambda": math.inf})], "ruin.csv"),
     (["ruin", "--model", _with(ALPHA_MODEL, beta=math.nan)], "ruin.csv"),
+    # JSON admits NaN and Infinity literals inside algebra and law descriptors
+    (["walk", "--algebra", '{"kind": "kendall", "alpha": NaN}', "--n", "2",
+      "--step-law", '{"family": "uniform", "a": 0, "b": 1}'], "walk.csv"),
+    (["walk", "--algebra", '{"kind": "max"}', "--n", "2",
+      "--step-law", '{"family": "uniform", "a": 0, "b": Infinity}'], "walk.csv"),
+    (["sample", "--law", '{"family": "lom_alpha", "gamma": 1, "alpha": NaN}'], "sample.csv"),
+    (["sample", "--law", '{"family": "point", "a": Infinity}'], "sample.csv"),
+    (["transform", "--algebra", '{"kind": "kingman", "s": NaN}',
+      "--law", '{"family": "point", "a": 1.0}'], "transform.csv"),
+    (["convolve", "--algebra", '{"kind": "kendall_type", "p": Infinity}',
+      "--x", "1", "--y", "1"], "convolve.csv"),
+    (["ruin", "--model", _with(MAX_MODEL, claim_law={"family": "uniform", "a": 0,
+                                                     "b": math.nan})], "ruin.csv"),
 ])
 def test_non_finite_input_exits_2(tmp_path, capsys, argv, data_file):
     assert cli.main(["--out", str(tmp_path), *argv]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / data_file).exists()
     assert not list(tmp_path.glob("*_meta.json"))
+
+
+# ---------------------------------------------------------------------------
+# max model: the premium scale beta reaches every route
+# ---------------------------------------------------------------------------
+
+MAX_UNIT = _with(MAX_MODEL, premium_law={"family": "uniform", "a": 0, "b": 1})
+
+
+def _survival(tmp_path, model, *extra):
+    assert cli.main(["--out", str(tmp_path), "ruin", "--model", model, *extra]) == 0
+    return float(read_csv(tmp_path / "ruin.csv")[1][1])
+
+
+def test_max_beta_scales_premiums_in_every_route(tmp_path):
+    # uniform(0, 1) claims, premiums 2 * uniform(0, 1): the closed form at b = 2
+    model = _with(MAX_UNIT, beta=2.0)
+    want = math.sqrt((1.0 - 0.5) / (1.0 - 0.25 / 2.0))
+    assert _survival(tmp_path / "auto", model, "--u", "0.5") == pytest.approx(want, abs=1e-9)
+    assert _survival(tmp_path / "ode", model, "--u", "0.5", "--method", "ode") \
+        == pytest.approx(want, abs=1e-6)
+    assert cli.main(["--out", str(tmp_path / "mc"), "ruin", "--model", model, "--u", "0.5",
+                     "--method", "mc", "--paths", "20000", "--horizon", "400"]) == 0
+    row = read_csv(tmp_path / "mc" / "ruin.csv")[1]
+    assert float(row[3]) <= want <= float(row[4])
+
+
+def test_max_point_premium_is_scaled_by_beta(tmp_path):
+    # premium delta_0.6 scaled to 1.2 >= the claim supremum 1: survival is certain
+    model = _with(MAX_UNIT, premium_law={"family": "point", "a": 0.6}, beta=2.0)
+    assert _survival(tmp_path / "b2", model, "--u", "0") == 1.0
+    assert _survival(tmp_path / "b1", _with(model, beta=1.0), "--u", "0") == 0.0
+
+
+@pytest.mark.parametrize("u, want", [(0.5, 0.0), (1.99, 0.0), (2.0, 1.0), (3.0, 1.0)])
+def test_max_auto_covers_claims_reaching_past_premiums(tmp_path, u, want):
+    model = _with(MAX_MODEL, claim_law={"family": "uniform", "a": 0, "b": 2},
+                  premium_law={"family": "uniform", "a": 0, "b": 1})
+    assert _survival(tmp_path, model, "--u", str(u)) == want
+
+
+def test_ode_method_rejects_other_algebras(tmp_path, capsys):
+    assert cli.main(["--out", str(tmp_path), "ruin", "--model", KENDALL_MODEL,
+                     "--method", "ode"]) == 2
+    assert "max model" in capsys.readouterr().err
+
+
+def test_workers_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit):
+        cli.main(["--out", str(tmp_path), "--workers", "2", "sample",
+                  "--law", '{"family": "point", "a": 1.0}'])

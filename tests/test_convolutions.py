@@ -174,3 +174,27 @@ def test_algebra_from_json():
         co.algebra_from_json({"kind": "bogus"})
     with pytest.raises(me.ParameterError):
         co.algebra_from_json({"kind": "kingman"})  # missing s
+
+
+# ---------------------------------------------------------------------------
+# input boundary: non-finite parameters
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: co.kendall(math.nan),
+    lambda: co.kendall(math.inf),
+    lambda: co.alpha_stable(math.nan),
+    lambda: co.alpha_stable(math.inf),
+    lambda: co.kingman(math.nan),
+    lambda: co.kingman(math.inf),
+    lambda: co.kendall_type(math.nan),
+    lambda: co.kendall_type(math.inf),
+    lambda: co.kendall_type(3.0, c=math.nan),
+    lambda: co.dilate(me.uniform(0, 1), math.nan),
+    lambda: co.convolve_points(co.kendall(1.0), math.nan, 1.0),
+    lambda: co.convolve_points(co.max_algebra(), 1.0, math.inf),
+    lambda: co.algebra_from_json({"kind": "kendall", "alpha": math.nan}),
+])
+def test_builders_reject_non_finite_parameters(build):
+    with pytest.raises(me.ParameterError, match="finite"):
+        build()

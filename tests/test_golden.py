@@ -1,8 +1,12 @@
-"""Golden outputs: fixed-seed samplers, pair laws and a CLI data file, bit for bit.
+"""Golden outputs: fixed-seed samplers, pair laws, Monte Carlo estimators and
+CLI data files, bit for bit.
 
-The values were captured before the samplers' CDF evaluation and bisection
-were sped up; any change to them is a change of results, not of speed.
-Floats are stored as ``float.hex`` strings so the comparison is exact.
+The sampler and pair-law values were captured before the samplers' CDF
+evaluation and bisection were sped up; the Monte Carlo values before the
+chunked estimators were merged into one stream iterator and one paired-walk
+kernel.  Any change to them is a change of results, not of speed.  Floats are
+stored as ``float.hex`` strings and arrays as the sha256 of their float64
+bytes, so the comparison is exact.
 """
 
 import hashlib
@@ -14,6 +18,8 @@ import pytest
 from gcruin import cli
 from gcruin import convolutions as co
 from gcruin import measures as me
+from gcruin import risk as ri
+from gcruin import ruin as ru
 from gcruin import walks as wa
 
 STEP = me.uniform(0.0, 1.0)
@@ -128,6 +134,89 @@ TABLE_QUANTILE = (
 ALPHA_GRID_CSV_SHA256 = "6015cb495be21f9feb8009fc1631a8e9fcc87a84dfa6fe91d97c3276b4cbd336"
 ALPHA_GRID_SUMMARY_SHA256 = "5ab95030a23f288a9081f071619c34154ad476bebda69a8ef8479a2024f2aebd"
 
+MC_RUIN = {
+    "kendall": (
+        "0x1.911421cc4da78p-1", "0x1.932be732b6741p-1",
+        "0x1.922c032fa6c9cp-1", "0x1.90a42e0af6cd0p-1",
+    ),
+    "max": (
+        "0x1.82f5ad2110623p-1", "0x1.82c5b2607d724p-1",
+        "0x1.8235c21ec4a28p-1", "0x1.84e576e6febc2p-1",
+    ),
+    "alpha": (
+        "0x1.65f0d9a8319a9p-1", "0x1.6868948fc0470p-1",
+        "0x1.6508f3056b684p-1", "0x1.6461056369208p-1",
+    ),
+    "kendall_type": (
+        "0x1.bbdf738f5c51ep-1", "0x1.bef71cf8d4c8cp-1",
+        "0x1.b9e7aaa9557aap-1", "0x1.bdaf40d4e8b69p-1",
+    ),
+}
+
+MC_RUIN_FINITE_T = {
+    "kendall": (
+        "0x1.ea9a571e78aadp-1", "0x1.ea9257fe602d8p-1",
+        "0x1.ebc236c202c7bp-1", "0x1.eb4a43e0936fep-1",
+    ),
+    "max": (
+        "0x1.91f4094efb5c8p-1", "0x1.910c22ac352a3p-1",
+        "0x1.9184158da4820p-1", "0x1.93f3d1551ab11p-1",
+    ),
+    "alpha": (
+        "0x1.972b773ef51d3p-1", "0x1.97db64010fe24p-1",
+        "0x1.96cb81bdcf3d5p-1", "0x1.9b0b0acad1d11p-1",
+    ),
+    "kendall_type": (
+        "0x1.f3795eb9a3b22p-1", "0x1.f3316698c74a3p-1",
+        "0x1.f3d1551ab114ap-1", "0x1.f2f16d98035fap-1",
+    ),
+}
+
+RECURSION_CHECK = {
+    0: (
+        "0x1.bc28f5c28f5c3p-1", "0x1.bf8a0902de00dp-1",
+        "-0x1.b089a02752500p-8", "-0x1.c4b2ee0df3f44p-5",
+        "0x1.589086041f604p-5",
+    ),
+    1: (
+        "0x1.bd70a3d70a3d7p-1", "0x1.bc985f06f6945p-1",
+        "0x1.b089a02752400p-10", "-0x1.838d7ed9a1b93p-5",
+        "0x1.9e9618dc16dd3p-5",
+    ),
+    2: (
+        "0x1.bd70a3d70a3d7p-1", "0x1.bb020c49ba5e3p-1",
+        "0x1.374bc6a7efa00p-8", "-0x1.71e0823de5dc6p-5",
+        "0x1.bfb373e7e1c46p-5",
+    ),
+    3: (
+        "0x1.b851eb851eb85p-1", "0x1.bf487fcb923a3p-1",
+        "-0x1.bda5119ce0780p-7", "-0x1.0038d09635379p-4",
+        "0x1.219f185dfa332p-5",
+    ),
+}
+
+POISSON_TERMINAL_SHA256 = {
+    0: "a017fce8001c2639948ce8894fc62e629ff817e2e610984a2e8707bf384384db",
+    1: "f2f5834ffefc7bb4d0ab803b977d2e81b43b893d4765637b12be4bcc1e8cc450",
+    2: "a9f8e2f795ab31f1dddb7e79b63a6efc1aa9cb9d8929c5f34e6798e21f43701d",
+    3: "5bec97ab0686607e142df508410730596ea7b6ad7ee647ed19819c288d15515f",
+}
+
+TERMINAL_SHA256 = {
+    0: "b05b0175d67793f458853869c44dea37dafa05217490207d7e9fef78931187a1",
+    1: "0093540b159326a833b350658951061f418fa489fcbd478751f8ad816f889149",
+    2: "a7438eadee52317d20dbef3513fe455aaa24de4b6d74d085301155f25d4c4175",
+    3: "f6c4eaa3c235fda88e306750f1163540ef6d973dff385a76ab4065381e61f33d",
+}
+
+CLI_SHA256 = {
+    "walk": "8627b08d7b8b9e4ef59bc485eb64b8d6b0ed25ee69a0b43de76d12b18e031cfa",
+    "ruin_mc": "422fbcbed6826de76bbc666a131b0ce63c98504c65d718da825d6a3b59dc00c5",
+    "ruin_mc_t": "9eb6d72be6f0d37028cd0bd08d6de249bb14dc15e39c430594be4a8407f5bcac",
+    "ruin_max": "25786c93fd54c08b00afd9b53cc2de79e4e3324defa5de1973960f562fcea528",
+    "ruin_max_ode": "be74da06fcc3dbcd787706db38a6ec2fbe19a806d079a7e7e28011a5091c769f",
+}
+
 ALPHA_MODEL = json.dumps({
     "algebra": {"kind": "alpha_stable", "alpha": 1.0},
     "claim_law": {"family": "lom_alpha", "gamma": 1.0, "alpha": 1.0},
@@ -182,3 +271,91 @@ def test_alpha_u_grid_files(tmp_path):
     summary_digest = hashlib.sha256((tmp_path / "ruin_summary.json").read_bytes()).hexdigest()
     assert csv_digest == ALPHA_GRID_CSV_SHA256
     assert summary_digest == ALPHA_GRID_SUMMARY_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo estimators: chunk boundaries crossed (CHUNK + 7 and CHUNK + 9)
+# ---------------------------------------------------------------------------
+
+MC_MODELS = {
+    "kendall": ri.RiskModel(co.kendall(1.0), me.lom_kendall(1.0, 1.0),
+                            me.lom_kendall(1.0, 1.0), u=2.0, beta=4.0),
+    # saturating: the premium walk can pass the claim supremum 1
+    "max": ri.RiskModel(co.max_algebra(), STEP, me.uniform(0.0, 2.0), u=0.5),
+    # the alpha-stable z-scale fast path
+    "alpha": ri.RiskModel(co.alpha_stable(1.0), me.lom_alpha(1.0, 1.0),
+                          me.lom_alpha(1.0, 1.0), u=1.0, beta=2.0),
+    "kendall_type": ri.RiskModel(co.kendall_type(3.0), STEP, me.uniform(0.0, 2.0), u=1.0),
+}
+MC_HORIZON = {"kendall": 20, "max": 50, "alpha": 50, "kendall_type": 3}
+MC_T = {"kendall": 3.0, "max": 3.0, "alpha": 3.0, "kendall_type": 1.0}
+SEEDS = (0, 1, 2, 3)
+
+
+def digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MC_MODELS))
+def test_mc_ruin(name):
+    got = [ru.mc_ruin(MC_MODELS[name], MC_HORIZON[name], wa.CHUNK + 7, seed=s).survival
+           for s in SEEDS]
+    assert hexes(got) == MC_RUIN[name]
+
+
+@pytest.mark.parametrize("name", sorted(MC_MODELS))
+def test_mc_ruin_finite_t(name):
+    got = [ru.mc_ruin_finite_t(MC_MODELS[name], MC_T[name], wa.CHUNK + 7, seed=s).survival
+           for s in SEEDS]
+    assert hexes(got) == MC_RUIN_FINITE_T[name]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_recursion_check(seed):
+    rc = ru.kendall_lambda_recursion_check(0.5, 2.0, MC_MODELS["kendall"], paths_outer=400,
+                                           paths_inner=50, horizon=4, seed=seed)
+    got = (rc.lhs, rc.rhs, rc.residual, rc.ci_low, rc.ci_high)
+    assert hexes(got) == RECURSION_CHECK[seed]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chunked_terminals(seed):
+    alg = co.kendall(1.0)
+    poisson = ri.mc_poisson_terminal(alg, STEP, 2.0, 1.5, wa.CHUNK + 9, seed=seed)
+    terminal = wa.simulate_terminal(alg, STEP, 5, wa.CHUNK + 9, seed=seed)
+    assert digest(poisson) == POISSON_TERMINAL_SHA256[seed]
+    assert digest(terminal) == TERMINAL_SHA256[seed]
+
+
+KENDALL_MODEL = json.dumps({
+    "algebra": {"kind": "kendall", "alpha": 1.0},
+    "claim_law": {"family": "lom_kendall", "c": 1.0, "alpha": 1.0},
+    "premium_law": {"family": "lom_kendall", "c": 1.0, "alpha": 1.0},
+    "u": 1.0, "lambda": 2.0,
+})
+MAX_MODEL = json.dumps({
+    "algebra": {"kind": "max"},
+    "claim_law": {"family": "uniform", "a": 0, "b": 1},
+    "premium_law": {"family": "uniform", "a": 0, "b": 2},
+})
+CLI_RUNS = {
+    # the README Kendall walk example at the default seed
+    "walk": (["walk", "--algebra", '{"kind": "kendall", "alpha": 1.0}',
+              "--step-law", '{"family": "uniform", "a": 0, "b": 1}',
+              "--n", "5", "--paths", "10000"], "walk.csv"),
+    "ruin_mc": (["ruin", "--model", KENDALL_MODEL, "--method", "mc", "--u-grid", "0:2:3",
+                 "--paths", "20000", "--horizon", "10"], "ruin.csv"),
+    "ruin_mc_t": (["ruin", "--model", KENDALL_MODEL, "--method", "mc", "--t", "1",
+                   "--paths", "20000"], "ruin.csv"),
+    # the README max example
+    "ruin_max": (["ruin", "--model", MAX_MODEL, "--u", "0.5"], "ruin.csv"),
+    "ruin_max_ode": (["ruin", "--model", MAX_MODEL, "--method", "ode",
+                      "--u-grid", "0:1:5"], "ruin.csv"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(CLI_RUNS))
+def test_cli_data_files(run, tmp_path):
+    argv, name = CLI_RUNS[run]
+    assert cli.main(["--out", str(tmp_path), *argv]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == CLI_SHA256[run]

@@ -160,3 +160,44 @@ def test_parameter_validation():
         me.uniform(2.0, 1.0)
     with pytest.raises(me.ParameterError):
         me.lom_kendall(0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# input boundary: non-finite parameters
+# ---------------------------------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda: me.uniform(0.0, INF),
+    lambda: me.uniform(NAN, 1.0),
+    lambda: me.lom_alpha(1.0, NAN),
+    lambda: me.lom_alpha(INF, 1.0),
+    lambda: me.lom_kendall(NAN, 1.0),
+    lambda: me.lom_kendall(1.0, INF),
+    lambda: me.lom_max(NAN),
+    lambda: me.lom_max(INF),
+    lambda: me.pareto_2alpha(NAN),
+    lambda: me.pareto_2alpha(INF),
+    lambda: me.point_mass(NAN),
+    lambda: me.point_mass(INF),
+    lambda: me.table([(NAN, 1.0)]),
+    lambda: me.table([(1.0, 0.5)], [(0.0, 0.0), (NAN, 0.5)]),
+    lambda: me.distribution_from_json({"family": "lom_alpha", "gamma": 1.0, "alpha": NAN}),
+])
+def test_builders_reject_non_finite_parameters(build):
+    with pytest.raises(me.ParameterError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("law", [
+    me.uniform(0.0, 1.0),
+    me.table([(0.5, 0.3), (2.0, 0.2)], [(0.0, 0.0), (1.0, 0.25), (3.0, 0.5)]),
+    co.convolve_points(co.kendall_type(3.0), 0.6, 1.5),
+])
+def test_quantile_rejects_nan(law):
+    with pytest.raises(me.ParameterError):
+        law.quantile(NAN)
+    with pytest.raises(me.ParameterError):
+        law.quantile(np.array([0.5, NAN]))

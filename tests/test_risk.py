@@ -201,6 +201,18 @@ def test_safety_condition_kendall_rejects_mismatched_scales():
         ri.safety_condition_kendall(model, 1.0)
 
 
+def test_safety_conditions_reject_scaled_premiums():
+    # the closed forms read premium_law as the premium step; beta would change the model
+    m = max_model()
+    with pytest.raises(me.UnsupportedLawError, match="beta"):
+        ri.safety_condition_max(ri.RiskModel(m.algebra, m.claim_law, m.premium_law,
+                                             u=m.u, beta=2.0), 1.0)
+    k = kendall_model()
+    with pytest.raises(me.UnsupportedLawError, match="beta"):
+        ri.safety_condition_kendall(ri.RiskModel(k.algebra, k.claim_law, k.premium_law,
+                                                 u=k.u, beta=0.5), 1.0)
+
+
 def test_kendall_margin_nonincreasing_in_lambda():
     margins = [ri.safety_condition_kendall(kendall_model(u=2.0, lam=lam), 1.0).margin
                for lam in (0.25, 0.5, 1.0, 2.0, 4.0)]

@@ -157,6 +157,42 @@ def test_max_ruin_lom_classification():
         ru.max_ruin_lom(-1.0, 1.0, me.uniform(0, 1))
 
 
+@pytest.mark.parametrize("beta", [1.5, 2.0, 3.5])
+@pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 0.9, 1.0, 1.5])
+def test_max_ruin_closed_uniform_matches_ode(beta, u):
+    # premiums beta * uniform(0, 1) are uniform(0, beta): the ODE on the dilated law
+    model = ri.RiskModel(co.max_algebra(), me.uniform(0, 1), me.uniform(0, 1), beta=beta)
+    closed = ru.max_ruin_closed(u, model)
+    grid = ru.max_ruin_ode(model.claim_law, co.dilate(model.premium_law, beta),
+                           np.array([0.0, max(u, 1e-12)]))
+    assert closed.survival == pytest.approx(grid.delta_values[-1], abs=1e-6)
+    assert closed.method == "closed_form"
+
+
+def test_max_ruin_closed_claims_past_premiums():
+    # claims uniform(0, 2) against premiums uniform(0, 1): the claim walk
+    # passes every premium level below 2, and never reaches 2
+    model = ri.RiskModel(co.max_algebra(), me.uniform(0, 2), me.uniform(0, 1))
+    assert [ru.max_ruin_closed(u, model).survival for u in (0.0, 1.0, 1.999, 2.0, 3.0)] \
+        == [0.0, 0.0, 0.0, 1.0, 1.0]
+
+
+def test_max_ruin_closed_point_premium_and_coverage():
+    model = ri.RiskModel(co.max_algebra(), me.uniform(0, 1), me.lom_max(0.6), beta=2.0)
+    assert ru.has_max_closed_form(model)
+    assert ru.max_ruin_closed(0.0, model).survival == 1.0      # 2 * 0.6 >= 1
+    assert ru.max_ruin_closed(0.0, ri.RiskModel(
+        co.max_algebra(), me.uniform(0, 1), me.lom_max(0.6))).survival == 0.0
+    ode_only = ri.RiskModel(co.max_algebra(), me.uniform(0.5, 1), me.uniform(0, 2))
+    kendall = ri.RiskModel(co.kendall(1.0), me.uniform(0, 1), me.uniform(0, 2))
+    for m in (ode_only, kendall):
+        assert not ru.has_max_closed_form(m)
+        with pytest.raises(me.UnsupportedLawError):
+            ru.max_ruin_closed(0.5, m)
+    with pytest.raises(me.ParameterError):
+        ru.max_ruin_closed(math.nan, max_model())
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo engines
 # ---------------------------------------------------------------------------
