@@ -34,7 +34,7 @@ __all__ = [
 #: absolute quadrature tolerance; formulas compared later at 1e-6 need headroom
 QUAD_TOL = 1e-10
 
-#: past this point a non-converged tail integral is declared divergent
+#: tail segments stop here; a still-decaying rest is summed as a geometric series
 MOMENT_TRUNCATION = 1e12
 
 
@@ -330,8 +330,8 @@ def table(atoms: Sequence[tuple[float, float]],
 def moment_alpha(d: Distribution, alpha: float) -> float:
     """E X^alpha via the tail integral of alpha x^(alpha-1)(1 - F(x)).
 
-    Returns math.inf when the tail integral fails to converge before the
-    truncation bound; an infinite moment is a value, not an error.
+    Returns math.inf when the tail's doubling segments stop shrinking by a
+    ratio of at most 0.95; an infinite moment is a value, not an error.
     """
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
@@ -339,23 +339,17 @@ def moment_alpha(d: Distribution, alpha: float) -> float:
     def integrand(x):
         return alpha * x ** (alpha - 1.0) * (1.0 - d.cdf(x))
 
-    breakpoints = sorted({0.0, d.support_lower, *[loc for loc, _ in d.atoms]})
-    if math.isfinite(d.support_upper):
-        pts = sorted({*breakpoints, d.support_upper})
-        total = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            if b > a:
-                val, _ = integrate.quad(integrand, a, b, epsabs=QUAD_TOL, limit=200)
-                total += val
-        return total
-
-    head_end = max(1.0, *breakpoints)
-    total = 0.0
+    breakpoints = {0.0, d.support_lower, *[loc for loc, _ in d.atoms]}
+    bounded = math.isfinite(d.support_upper)
+    head_end = d.support_upper if bounded else max(1.0, *breakpoints)
     pts = sorted({*breakpoints, head_end})
+    total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
         if b > a:
             val, _ = integrate.quad(integrand, a, b, epsabs=QUAD_TOL, limit=200)
             total += val
+    if bounded:
+        return total
     # geometric tail segments; declare divergence when contributions stall
     a = head_end
     prev = math.inf
@@ -372,10 +366,10 @@ def moment_alpha(d: Distribution, alpha: float) -> float:
         ratio = val / prev if math.isfinite(prev) and prev > 0 else 1.0
         prev = val
         a = b
-    # truncated at the bound: the remaining tail is bounded by a geometric
-    # series prev * ratio / (1 - ratio), negligible when decay stayed fast
-    if ratio <= 0.95 and prev * ratio / (1.0 - ratio) < 1e-8 * max(total, 1.0):
-        return total
+    # truncated at the bound: a tail still decaying geometrically adds the
+    # rest of its series, prev * ratio / (1 - ratio)
+    if ratio <= 0.95:
+        return total + prev * ratio / (1.0 - ratio)
     return math.inf
 
 

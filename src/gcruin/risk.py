@@ -3,7 +3,9 @@
 The surplus at time t compares the premium-side walk started at the initial
 capital u against the claim-side walk started at 0, both driven by a common
 Poisson(lambda) claim counter.  For the max algebra the natural scale is the
-expectation itself; for the Kendall algebra it is the alpha-th moment.
+expectation itself; for the Kendall algebra it is the alpha-th moment, which
+is lam t E U^alpha for the claim walk with steps U, because the Kendall
+convolution is alpha-additive.
 
 Where a published closed form disagrees with the Poisson-mixture definition
 (sum over n of the Poisson weight times the n-step expectation), the
@@ -211,51 +213,18 @@ def safety_condition_max(model: RiskModel, t: float) -> SafetyReport:
 # Kendall algebra: alpha-th moments at a Poisson time
 # ---------------------------------------------------------------------------
 
-#: geometric-grid limits converge when 3 successive values agree to this
-LIMIT_RTOL = 1e-8
-#: past this abscissa a still-growing limit is declared divergent
-LIMIT_TRUNCATION = 1e12
-
-
-def _tail_limit(g, x0: float = 2.0) -> float:
-    """lim_{x->oo} g(x) on a geometric grid, or inf when it keeps growing."""
-    x = max(x0, 2.0)
-    vals = []
-    while x <= LIMIT_TRUNCATION:
-        vals.append(g(x))
-        if len(vals) >= 3:
-            a, b, c = vals[-3:]
-            scale = max(abs(c), 1e-30)
-            if abs(c - b) < LIMIT_RTOL * scale and abs(b - a) < LIMIT_RTOL * scale:
-                return c
-        x *= 2.0
-    return math.inf
-
-
 def expected_alpha_moment_kendall_claims(pair: KendallLawPair, lam: float, t: float) -> float:
     """E X_t^alpha for the Kendall claim walk at a Poisson(lam * t) time.
 
-    Equals lim x^alpha (1 - exp(-lam t (1 - H(x)))); for the lack-of-memory
-    law min{(cx)^alpha, 1} this is (lam t / 2) c^(-alpha) exactly.
+    The Kendall convolution is alpha-additive, so E X_t^alpha = lam t E U^alpha
+    for steps U with the pair's law; for the lack-of-memory law
+    min{(cx)^alpha, 1} this is (lam t / 2) c^(-alpha).
     """
     if lam < 0 or t < 0:
         raise ParameterError("lam and t must be nonnegative")
-    lt = lam * t
-    if lt == 0.0:
+    if lam * t == 0.0:
         return 0.0
-    d = pair.dist
-    if d is not None and d.family == "lom_kendall" and d.params["alpha"] == pair.alpha:
-        return 0.5 * lt * d.params["c"] ** (-pair.alpha)
-
-    a = pair.alpha
-
-    def g(x: float) -> float:
-        return x**a * (-math.expm1(-lt * (1.0 - float(pair.H(np.array([x]))[0]))))
-
-    start = 2.0
-    if d is not None and math.isfinite(d.support_upper):
-        start = max(2.0, 2.0 * d.support_upper)
-    return _tail_limit(g, start)
+    return lam * t * moment_alpha(pair.dist, pair.alpha)
 
 
 def expected_alpha_moment_kendall_premiums(u: float, pair: KendallLawPair,
@@ -326,16 +295,26 @@ def safety_condition_kendall(model: RiskModel, t: float) -> SafetyReport:
 # alpha-stable algebra: net profit condition
 # ---------------------------------------------------------------------------
 
+def _is_alpha_model(model: RiskModel) -> bool:
+    """The alpha-stable algebra with lom_alpha premiums of the algebra's order.
+
+    Only then is the premium step beta^alpha E with E ~ Exp(gamma) in the
+    z = u^alpha scale, which the net profit condition, the Volterra solver
+    and the Monte Carlo fast path all assume.
+    """
+    return (model.algebra.kind == "alpha_stable"
+            and model.premium_law.family == "lom_alpha"
+            and model.premium_law.params["alpha"] == model.algebra.alpha)
+
+
 def net_profit_alpha(model: RiskModel) -> float:
     """rho = gamma mu_alpha / beta^alpha; ruin analytics need rho < 1."""
     if model.algebra.kind != "alpha_stable":
         raise ParameterError("net profit condition applies to the alpha-stable algebra")
-    if model.premium_law.family != "lom_alpha":
+    if not _is_alpha_model(model):
         raise UnsupportedLawError(
-            "alpha-model premiums must be the Weibull-type lack-of-memory law")
+            "alpha-model premiums must be the lack-of-memory law lom_alpha of the algebra's order")
     a = model.algebra.alpha
-    if model.premium_law.params["alpha"] != a:
-        raise UnsupportedLawError("premium law order must match the algebra's alpha")
     gamma = model.premium_law.params["gamma"]
     mu_a = moment_alpha(model.claim_law, a)
     if not math.isfinite(mu_a):

@@ -25,7 +25,7 @@ from .measures import (
     moment_alpha,
     power_transform,
 )
-from .risk import RiskModel
+from .risk import RiskModel, _is_alpha_model
 from .walks import apply_step_batch, chunk_streams
 
 __all__ = [
@@ -186,8 +186,9 @@ def alpha_ruin_grid(us, model: RiskModel, z_max: float | None = None,
     """
     if model.algebra.kind != "alpha_stable":
         raise ParameterError("alpha_ruin requires the alpha-stable algebra")
-    if model.premium_law.family != "lom_alpha":
-        raise UnsupportedLawError("alpha-model premiums must be the lack-of-memory law")
+    if not _is_alpha_model(model):
+        raise UnsupportedLawError(
+            "alpha-model premiums must be the lack-of-memory law lom_alpha of the algebra's order")
     a = model.algebra.alpha
     gamma = model.premium_law.params["gamma"]
     beta_alpha = model.beta**a
@@ -226,7 +227,9 @@ def max_ruin_ode(F: Distribution, G: Distribution, u_grid) -> SurvivalGrid:
     claim supremum a, delta = 1 at and above it.
 
     F is the claim law (bounded support required for a nonzero answer), G the
-    premium law.  Unbounded claims give delta = 0 identically.
+    premium law.  Unbounded claims give delta = 0 identically, and premiums
+    whose supremum is at most a give delta = 0 below a: the claim walk then
+    passes every level the premium walk can reach.
     """
     f = _density_or_raise(F, "claim law")
     _density_or_raise(G, "premium law")
@@ -236,12 +239,13 @@ def max_ruin_ode(F: Distribution, G: Distribution, u_grid) -> SurvivalGrid:
     a = F.support_upper
     if not math.isfinite(a):
         return SurvivalGrid(u_grid, np.zeros_like(u_grid))
+    if G.support_upper <= a:
+        return SurvivalGrid(u_grid, np.where(u_grid >= a, 1.0, 0.0))
 
+    # F, G < 1 below a < sup G, so the denominator stays positive
     def integrand(y: float) -> float:
-        den = 1.0 - float(F.cdf(y)) * float(G.cdf(y))
-        if den <= 0.0:
-            return math.inf
-        return float(G.cdf(y)) * float(f(np.array([y]))[0]) / den
+        g = float(G.cdf(y))
+        return g * float(f(np.array([y]))[0]) / (1.0 - float(F.cdf(y)) * g)
 
     def delta_one(u: float) -> float:
         if u >= a:
@@ -249,8 +253,6 @@ def max_ruin_ode(F: Distribution, G: Distribution, u_grid) -> SurvivalGrid:
         pts = sorted({p for p in (G.support_lower, G.support_upper) if u < p < a})
         val, _ = integrate.quad(integrand, u, a, points=pts or None,
                                 epsabs=1e-12, limit=400)
-        if not math.isfinite(val):
-            return 0.0
         return math.exp(-val)
 
     return SurvivalGrid(u_grid, np.array([delta_one(float(u)) for u in u_grid]))
@@ -406,9 +408,7 @@ def mc_ruin(model: RiskModel, horizon_claims: int = 10_000, paths: int = 100_000
     """
     if horizon_claims < 1 or paths < 1:
         raise ParameterError("need horizon_claims >= 1 and paths >= 1")
-    fast_alpha = (model.algebra.kind == "alpha_stable"
-                  and model.premium_law.family == "lom_alpha"
-                  and model.premium_law.params["alpha"] == model.algebra.alpha)
+    fast_alpha = _is_alpha_model(model)
     survivors = 0
     for lo, hi, rng in chunk_streams(paths, seed):
         if fast_alpha:

@@ -157,7 +157,7 @@ class KendallLawPair:
     F: Callable[[np.ndarray], np.ndarray]
     H: Callable[[np.ndarray], np.ndarray]
     alpha: float
-    dist: Optional[Distribution] = None
+    dist: Distribution
 
     def dH(self, t):
         t = _as_array(t)

@@ -261,6 +261,19 @@ def test_ode_method_rejects_other_algebras(tmp_path, capsys):
     assert "max model" in capsys.readouterr().err
 
 
+def test_alpha_premiums_of_another_order_exit_2_but_mc_runs(tmp_path, capsys):
+    model = _with(ALPHA_MODEL, algebra={"kind": "alpha_stable", "alpha": 1.5},
+                  claim_law={"family": "lom_alpha", "gamma": 1.0, "alpha": 1.5})
+    for method in ("auto", "volterra"):
+        assert cli.main(["--out", str(tmp_path / method), "ruin", "--model", model,
+                         "--u", "2", "--method", method]) == 2
+        assert "order" in capsys.readouterr().err
+        assert not (tmp_path / method / "ruin.csv").exists()
+    surv = _survival(tmp_path / "mc", model, "--u", "2", "--method", "mc",
+                     "--paths", "2000", "--horizon", "200")
+    assert 0.0 < surv < 1.0
+
+
 def test_workers_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["--out", str(tmp_path), "--workers", "2", "sample",

@@ -137,6 +137,12 @@ def test_moment_alpha_divergence():
     assert me.moment_alpha(me.pareto_2alpha(0.5), 1.0) == math.inf
 
 
+def test_moment_alpha_slowly_decaying_finite_tail():
+    # tail index 1, r = 1/2: E X^r = 1 / (1 - r) = 2, though each doubling
+    # segment of the tail integral shrinks only by 2^(-1/2)
+    assert me.moment_alpha(me.pareto_2alpha(0.5), 0.5) == pytest.approx(2.0, rel=1e-9)
+
+
 def test_power_transform():
     d = me.power_transform(me.lom_alpha(1.0, 2.0), 2.0)
     # X ~ Weibull(g=1, a=2) => X^2 ~ Exp(1)

@@ -150,6 +150,22 @@ def test_kendall_claims_moment_numeric_limit_and_mc():
     assert abs(val - mc.mean()) <= 3.0 * se
 
 
+@pytest.mark.parametrize("law, lam, t, want", [
+    (me.pareto_2alpha(2.0), 0.5, 3.0, 2.0),     # E U = 4/3, tail index 4
+    (me.lom_alpha(1.0, 1.0), 1.0, 2.0, 2.0),    # Exp(1) steps, E U = 1
+])
+def test_kendall_claims_moment_is_lam_t_times_step_moment(law, lam, t, want):
+    pair = wi.kendall_pair(law, 1.0)
+    got = ri.expected_alpha_moment_kendall_claims(pair, lam, t)
+    assert got == pytest.approx(want, rel=1e-9)
+    assert got == lam * t * me.moment_alpha(law, 1.0)
+
+
+def test_kendall_claims_moment_point_mass_is_exact():
+    pair = wi.kendall_pair(me.point_mass(1.0), 1.0)
+    assert ri.expected_alpha_moment_kendall_claims(pair, 0.5, 3.0) == 1.5
+
+
 def test_kendall_claims_moment_divergence():
     # a claim law without a finite alpha-moment diverges
     pair = wi.kendall_pair(me.pareto_2alpha(0.5), 1.0)

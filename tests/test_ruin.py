@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,22 @@ def test_alpha_ruin_entry_point():
             ru.alpha_ruin(bad, alpha_model())
 
 
+def mismatched_alpha_model(u=2.0):
+    # lom_alpha premiums of order 1 under the order-1.5 algebra: the premium
+    # step is not beta^alpha E in the z-scale
+    return ri.RiskModel(co.alpha_stable(1.5), me.lom_alpha(1.0, 1.5),
+                        me.lom_alpha(1.0, 1.0), u=u, beta=2.0)
+
+
+def test_alpha_ruin_rejects_premiums_of_another_order():
+    with pytest.raises(me.UnsupportedLawError):
+        ru.alpha_ruin_grid([0.0, 2.0], mismatched_alpha_model())
+    with pytest.raises(me.UnsupportedLawError):
+        ri.net_profit_alpha(mismatched_alpha_model())
+    est = ru.mc_ruin(mismatched_alpha_model(), horizon_claims=200, paths=2000, seed=1)
+    assert est.method == "monte_carlo" and 0.0 < est.survival < 1.0
+
+
 def test_alpha_ruin_grid_equals_one_solve_per_capital():
     # u = 0, 1, 2 share z_max = 10; 2.5 and 3 get z_max = 12.5 and 15
     us = [0.0, 1.0, 2.0, 2.5, 3.0]
@@ -136,6 +153,17 @@ def test_max_ruin_ode_unbounded_claims_is_certain_ruin():
     grid = ru.max_ruin_ode(me.pareto_2alpha(1.0), me.uniform(0, 2),
                            np.array([0.0, 1.0]))
     np.testing.assert_array_equal(grid.delta_values, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("claim_b, want", [(2.0, [0.0, 0.0, 0.0, 0.0]),
+                                           (1.0, [0.0, 0.0, 0.0, 1.0])])
+def test_max_ruin_ode_premiums_below_claim_supremum(claim_b, want):
+    # premium supremum 1 <= claim supremum: certain ruin below the claim
+    # supremum, returned without a quadrature
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = ru.max_ruin_ode(me.uniform(0, claim_b), me.uniform(0, 1), [0.0, 0.5, 0.99, 1.5])
+    np.testing.assert_array_equal(grid.delta_values, want)
 
 
 def test_max_ruin_ode_rejects_atoms():
