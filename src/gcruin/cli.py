@@ -29,6 +29,7 @@ from .risk import RiskModel, safety_condition_kendall, safety_condition_max
 from .ruin import (
     CertainRuinError,
     RuinEstimate,
+    _absolutely_continuous,
     alpha_ruin_grid,
     has_max_closed_form,
     max_ruin_closed,
@@ -174,7 +175,10 @@ def _cmd_safety(args, out: Path) -> dict:
             f"not {model.algebra.kind!r}")
     payload = asdict(report)
     (out / "safety.json").write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"safety: margin {report.margin:.6g}, "
+    definition = report.extras.get("margin_definition")
+    shown = ("" if definition is None
+             else f" (published formula; margin_definition {definition:.6g})")
+    print(f"safety: margin {report.margin:.6g}{shown}, "
           f"condition {'holds' if report.condition_holds else 'fails'} at t={args.t:g}")
     return payload
 
@@ -184,7 +188,8 @@ def _auto_method(model: RiskModel) -> str:
         return "volterra"
     if has_max_closed_form(model):
         return "closed"
-    if model.algebra.kind == "max" and model.claim_law.density and model.premium_law.density:
+    if (model.algebra.kind == "max" and _absolutely_continuous(model.claim_law)
+            and _absolutely_continuous(model.premium_law)):
         return "ode"
     return "mc"
 
@@ -193,9 +198,8 @@ def _ruin_one(model: RiskModel, method: str, u: float, args) -> RuinEstimate:
     if method == "ode":
         if model.algebra.kind != "max":
             raise _ValidationError("the ode method solves the max model only")
-        grid = max_ruin_ode(model.claim_law, dilate(model.premium_law, model.beta),
-                            np.array([0.0, max(u, 1e-12)]))
-        surv = float(grid.delta_values[-1])
+        grid = max_ruin_ode(model.claim_law, dilate(model.premium_law, model.beta), [u])
+        surv = float(grid.delta_values[0])
         return RuinEstimate(surv, 1.0 - surv, method="ode")
     if method == "closed":
         return max_ruin_closed(u, model)

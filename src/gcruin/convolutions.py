@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special, stats
 
 from .measures import (
     Distribution,
     ParameterError,
-    QUAD_TOL,
     _as_array,
     _check_finite,
     point_mass,
@@ -197,8 +196,7 @@ def dilate(d: Distribution, a: float) -> Distribution:
             return d.density(_as_array(x) / a) / a
 
     atoms = tuple((loc * a, m) for loc, m in d.atoms)
-    upper = d.support_upper * a if math.isfinite(d.support_upper) else math.inf
-    return Distribution(atoms, cdf, quantile, density, upper, d.support_lower * a,
+    return Distribution(atoms, cdf, quantile, density, d.support_upper * a, d.support_lower * a,
                         family="dilated", params={"base": d.family, "scale": a})
 
 
@@ -385,43 +383,11 @@ def _kendall_type_point_convolution(alg: ConvolutionAlgebra, x: float, y: float)
 # ---------------------------------------------------------------------------
 
 def char_fn(alg: ConvolutionAlgebra, d: Distribution, t: float) -> float:
-    """Phi_d(t) = sum over atoms of Omega(loc t) + quadrature against the density."""
+    """Phi_d(t) = E Omega(X t); compact-support kernels vanish past X = 1/t."""
     if t < 0:
         raise ParameterError("t must be nonnegative")
-    total = 0.0
-    for loc, m in d.atoms:
-        total += m * float(kernel(alg, loc * t))
-    if d.density is None:
-        return total
-    lo = d.support_lower
-    hi = d.support_upper if math.isfinite(d.support_upper) else math.inf
-    pts = set()
-    # split at the kernel's kink (compact-support kernels vanish past 1/t)
-    if t > 0 and alg.kind in ("max", "kendall", "kendall_type"):
-        cut = 1.0 / t
-        if lo < cut < (hi if math.isfinite(hi) else math.inf):
-            pts.add(cut)
-        if alg.kind in ("kendall", "kendall_type"):
-            hi = min(hi, cut) if math.isfinite(hi) else cut
-        if alg.kind == "max":
-            hi = min(hi, cut) if math.isfinite(hi) else cut
-            # Omega = 1 below the cut: plain mass integral
-            val, _ = integrate.quad(lambda z: float(d.density(np.array([z]))[0]),
-                                    lo, hi, epsabs=QUAD_TOL, limit=200)
-            return total + val
-
-    def f(z):
-        return float(d.density(np.array([z]))[0]) * float(kernel(alg, z * t))
-
-    if math.isfinite(hi):
-        inner = sorted(q for q in pts if lo < q < hi)
-        val, _ = integrate.quad(f, lo, hi, points=inner or None,
-                                epsabs=QUAD_TOL, limit=400)
-        total += val
-    else:
-        val, _ = integrate.quad(f, lo, hi, epsabs=QUAD_TOL, limit=400)
-        total += val
-    return total
+    compact = t > 0 and alg.kind in ("max", "kendall", "kendall_type")
+    return d.expect(lambda z: float(kernel(alg, z * t)), 1.0 / t if compact else math.inf)
 
 
 _ALGEBRA_BUILDERS = {

@@ -113,18 +113,23 @@ class Distribution:
 
     def total_mass(self) -> float:
         """Atom masses plus the integral of the density (should be 1)."""
-        mass = self.atom_mass
-        if self.density is not None:
-            hi = self.support_upper if math.isfinite(self.support_upper) else np.inf
-            val, _ = integrate.quad(
-                lambda x: self.density(np.array([x]))[0],
-                self.support_lower,
-                hi,
-                epsabs=QUAD_TOL,
-                limit=200,
-            )
-            mass += val
-        return mass
+        return self.expect(lambda x: 1.0)
+
+    def expect(self, g: Callable[[float], float], upper: float = math.inf) -> float:
+        """E g(X): the sum of m g(loc) over the atoms plus the quadrature of
+        g f over the density's support.
+
+        ``upper`` is a point above which g vanishes; the quadrature stops there.
+        """
+        total = 0.0
+        for loc, m in self.atoms:
+            total += m * g(loc)
+        hi = min(upper, self.support_upper)
+        if self.density is not None and hi > self.support_lower:
+            val, _ = integrate.quad(lambda x: g(x) * float(self.density(np.array([x]))[0]),
+                                    self.support_lower, hi, epsabs=QUAD_TOL, limit=400)
+            total += val
+        return total
 
 
 def _invert_cdf(cdf_fn, q, lo, hi, iters: int = 200):
@@ -286,8 +291,9 @@ def table(atoms: Sequence[tuple[float, float]],
     """User-supplied law: explicit atoms plus a piecewise-linear continuous CDF.
 
     ``cdf_points`` lists (x, C(x)) for the continuous part only; C must be
-    nondecreasing from 0.  Total mass (atoms + continuous) must be 1 within
-    1e-10.
+    nondecreasing from C = 0 (a jump belongs in ``atoms``).  Its density is
+    the piecewise-constant slope of C.  Total mass (atoms + continuous) must
+    be 1 within 1e-10.
     """
     atoms = tuple((float(x), float(m)) for x, m in atoms)
     if any(x < 0 or m < 0 for x, m in atoms):
@@ -297,8 +303,10 @@ def table(atoms: Sequence[tuple[float, float]],
     for x, v in (*atoms, *zip(xs, cs)):
         _check_finite(table_point=x, table_value=v)
     if xs.size:
-        if np.any(np.diff(xs) <= 0) or np.any(np.diff(cs) < 0) or cs[0] < 0:
+        if np.any(np.diff(xs) <= 0) or np.any(np.diff(cs) < 0):
             raise ParameterError("cdf_points must be strictly increasing in x and nondecreasing in C")
+        if cs[0] != 0.0:
+            raise ParameterError("cdf_points must start at C = 0; a jump belongs in atoms")
         cont_mass = float(cs[-1])
     else:
         cont_mass = 0.0
@@ -318,9 +326,18 @@ def table(atoms: Sequence[tuple[float, float]],
             out = out + m * (x >= loc)
         return out
 
+    density = None
+    if cont_mass > 0.0:
+        slopes = np.diff(cs) / np.diff(xs)
+
+        def density(x):
+            x = _as_array(x)
+            i = np.clip(np.searchsorted(xs, x) - 1, 0, slopes.size - 1)
+            return np.where((x > xs[0]) & (x < xs[-1]), slopes[i], 0.0)
+
     hi = max([x for x, _ in atoms] + ([float(xs[-1])] if xs.size else [0.0]))
     lo = min([x for x, _ in atoms] + ([float(xs[0])] if xs.size else [hi]))
-    return Distribution(atoms, cdf, None, None, hi, lo, family="table", params={})
+    return Distribution(atoms, cdf, None, density, hi, lo, family="table", params={})
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +405,7 @@ def power_transform(d: Distribution, alpha: float) -> Distribution:
         return np.power(_as_array(base), alpha)
 
     atoms = tuple((loc**alpha, m) for loc, m in d.atoms)
-    upper = d.support_upper**alpha if math.isfinite(d.support_upper) else math.inf
-    return Distribution(atoms, cdf, quantile, None, upper, d.support_lower**alpha,
+    return Distribution(atoms, cdf, quantile, None, d.support_upper**alpha, d.support_lower**alpha,
                         family="power", params={"base": d.family, "alpha": alpha})
 
 

@@ -145,12 +145,11 @@ def _max_compound_expectation(law: Distribution, lt: float, floor: float) -> flo
             left = float(law.cdf(loc)) - _atom_mass_at(law, loc)
             total += loc * (K(loc) - math.exp(-lt * (1.0 - left)))
     if law.density is not None:
-        hi = law.support_upper if math.isfinite(law.support_upper) else math.inf
         lo = max(floor, law.support_lower)
-        if hi > lo:
+        if law.support_upper > lo:
             val, _ = integrate.quad(
                 lambda x: x * lt * float(law.density(np.array([x]))[0]) * K(x),
-                lo, hi, epsabs=QUAD_TOL, limit=400,
+                lo, law.support_upper, epsabs=QUAD_TOL, limit=400,
             )
             total += val
     return total

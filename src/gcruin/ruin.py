@@ -157,14 +157,13 @@ def alpha_ruin_laplace_check(grid: SurvivalGrid, F: Distribution, gamma: float,
     z = grid.z_grid
     d = grid.delta_values
     out = []
-    hi = F.support_upper if math.isfinite(F.support_upper) else math.inf
     for s in s_values:
         if s <= 0:
             raise ParameterError("Laplace abscissas must be positive")
         lhs = float(np.trapezoid(np.exp(-s * z) * d, z))
         lhs += d[-1] * math.exp(-s * z[-1]) / s
         ghat, _ = integrate.quad(lambda x: math.exp(-s * x) * (1.0 - float(F.cdf(x))),
-                                 0.0, hi, epsabs=QUAD_TOL, limit=400)
+                                 0.0, F.support_upper, epsabs=QUAD_TOL, limit=400)
         rhs = (beta_alpha - gamma * mu) / ((beta_alpha - gamma * ghat) * s)
         out.append(abs(lhs - rhs))
     return out
@@ -216,8 +215,13 @@ def alpha_ruin_grid(us, model: RiskModel, z_max: float | None = None,
 # max model: exact quadrature of the log-derivative ODE
 # ---------------------------------------------------------------------------
 
+def _absolutely_continuous(d: Distribution) -> bool:
+    """True for the laws the max-model ODE accepts: a density and no atoms."""
+    return not d.atoms and d.density is not None
+
+
 def _density_or_raise(d: Distribution, name: str):
-    if d.atoms or d.density is None:
+    if not _absolutely_continuous(d):
         raise UnsupportedLawError(f"{name} must be absolutely continuous")
     return d.density
 
@@ -266,13 +270,13 @@ def max_ruin_integral_residual(F: Distribution, G: Distribution, u: float) -> fl
     """
     g = _density_or_raise(G, "premium law")
     a = F.support_upper
-    b = G.support_upper if math.isfinite(G.support_upper) else math.inf
+    b = G.support_upper
 
     def delta(y: float) -> float:
-        return float(max_ruin_ode(F, G, np.array([0.0, max(y, 1e-12)])).delta_values[-1])
+        return float(max_ruin_ode(F, G, [y]).delta_values[0])
 
     lhs = delta(u)
-    pts = sorted({p for p in (a, G.support_lower) if u < p < b and math.isfinite(p)})
+    pts = sorted({p for p in (a, G.support_lower) if u < p < b})
     integral, _ = integrate.quad(
         lambda y: delta(y) * float(F.cdf(y)) * float(g(np.array([y]))[0]),
         u, b, points=pts or None, epsabs=1e-10, limit=400)

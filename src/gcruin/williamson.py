@@ -85,18 +85,7 @@ def transform_form1(d: Distribution, alpha: float, t: float) -> float:
         raise ParameterError("t must be nonnegative")
     if t == 0.0:
         return 1.0
-    total = 0.0
-    for loc, m in d.atoms:
-        total += m * max(1.0 - (t * loc) ** alpha, 0.0)
-    if d.density is not None:
-        hi = min(1.0 / t, d.support_upper)
-        if hi > d.support_lower:
-            val, _ = integrate.quad(
-                lambda s: (1.0 - (t * s) ** alpha) * float(d.density(np.array([s]))[0]),
-                d.support_lower, hi, epsabs=QUAD_TOL, limit=400,
-            )
-            total += val
-    return total
+    return d.expect(lambda s: max(1.0 - (t * s) ** alpha, 0.0), 1.0 / t)
 
 
 def transform_form2(d: Distribution, alpha: float, t: float) -> float:
@@ -106,15 +95,7 @@ def transform_form2(d: Distribution, alpha: float, t: float) -> float:
     if t == 0.0:
         return 1.0
     cut = 1.0 / t
-    stieltjes = sum(m * loc**alpha for loc, m in d.atoms if loc <= cut)
-    if d.density is not None:
-        hi = min(cut, d.support_upper)
-        if hi > d.support_lower:
-            val, _ = integrate.quad(
-                lambda s: s**alpha * float(d.density(np.array([s]))[0]),
-                d.support_lower, hi, epsabs=QUAD_TOL, limit=400,
-            )
-            stieltjes += val
+    stieltjes = d.expect(lambda s: s**alpha if s <= cut else 0.0, cut)
     return float(d.cdf(cut)) - t**alpha * stieltjes
 
 

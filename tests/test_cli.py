@@ -80,6 +80,23 @@ def test_transform_values(tmp_path):
     assert vals[2.0] == pytest.approx(math.exp(-2.0))
 
 
+TABLE_LAW = ('{"family": "table", "atoms": [[0.5, 0.3], [2.0, 0.2]], '
+             '"cdf_points": [[0, 0], [1, 0.25], [3, 0.5]]}')
+
+
+def test_transform_table_law_keeps_its_continuous_part(tmp_path):
+    rc = cli.main(["--out", str(tmp_path), "transform",
+                   "--algebra", '{"kind": "classical"}', "--law", TABLE_LAW,
+                   "--t-grid", "0:1:2"])
+    assert rc == 0
+    vals = {float(t): float(p) for t, p in read_csv(tmp_path / "transform.csv")[1:]}
+    assert vals[0.0] == pytest.approx(1.0, abs=1e-10)
+    e = math.exp
+    want = (0.3 * e(-0.5) + 0.2 * e(-2.0) + 0.25 * (1.0 - e(-1.0))
+            + 0.125 * (e(-1.0) - e(-3.0)))
+    assert vals[1.0] == pytest.approx(want, abs=1e-10)
+
+
 def test_walk_full_paths(tmp_path):
     rc = cli.main(["--out", str(tmp_path), "walk",
                    "--algebra", '{"kind": "max"}',
@@ -100,6 +117,13 @@ def test_safety_kendall(tmp_path):
     rep = json.loads((tmp_path / "safety.json").read_text())
     assert rep["margin"] == pytest.approx(math.exp(-1.0) + 1.0, abs=1e-10)
     assert rep["condition_holds"] is True
+
+
+def test_safety_summary_shows_the_definition_margin(tmp_path, capsys):
+    assert cli.main(["--out", str(tmp_path), "safety", "--model", KENDALL_MODEL,
+                     "--t", "1.0"]) == 0
+    line = capsys.readouterr().out
+    assert "margin 1.36788 (published formula; margin_definition 1)" in line
 
 
 def test_ruin_closed_form_row(tmp_path):
@@ -253,6 +277,32 @@ def test_max_auto_covers_claims_reaching_past_premiums(tmp_path, u, want):
     model = _with(MAX_MODEL, claim_law={"family": "uniform", "a": 0, "b": 2},
                   premium_law={"family": "uniform", "a": 0, "b": 1})
     assert _survival(tmp_path, model, "--u", str(u)) == want
+
+
+def test_max_auto_solves_atomless_table_laws_by_ode(tmp_path):
+    # the MAX_MODEL laws uniform(0, 1) and uniform(0, 2), written as tables
+    model = _with(MAX_MODEL,
+                  claim_law={"family": "table", "cdf_points": [[0, 0], [1, 1]]},
+                  premium_law={"family": "table", "cdf_points": [[0, 0], [2, 1]]})
+    got = _survival(tmp_path / "table", model, "--u", "0.5")
+    summary = json.loads((tmp_path / "table" / "ruin_summary.json").read_text())
+    assert summary["method"] == "ode"
+    assert got == pytest.approx(_survival(tmp_path / "uniform", MAX_MODEL, "--u", "0.5"),
+                                abs=1e-8)
+
+
+def test_max_auto_routes_table_laws_with_atoms_to_mc(tmp_path):
+    # a table with atoms and a continuous part has a density, but the ODE
+    # accepts atomless laws only
+    mixed = {"family": "table", "atoms": [[0.5, 0.3], [2, 0.2]],
+             "cdf_points": [[0, 0], [1, 0.25], [3, 0.5]]}
+    for field in ("claim_law", "premium_law"):
+        out = tmp_path / field
+        model = _with(MAX_MODEL, **{field: mixed})
+        surv = _survival(out, model, "--u", "0.5", "--paths", "2000", "--horizon", "200")
+        summary = json.loads((out / "ruin_summary.json").read_text())
+        assert summary["method"] == "mc"
+        assert 0.0 <= surv <= 1.0
 
 
 def test_ode_method_rejects_other_algebras(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Golden outputs: fixed-seed samplers, pair laws, Monte Carlo estimators and
-CLI data files, bit for bit.
+"""Golden outputs: fixed-seed samplers, pair laws, law expectations, Monte Carlo
+estimators and CLI data files, bit for bit.
 
 The sampler and pair-law values were captured before the samplers' CDF
 evaluation and bisection were sped up; the Monte Carlo values before the
@@ -21,6 +21,7 @@ from gcruin import measures as me
 from gcruin import risk as ri
 from gcruin import ruin as ru
 from gcruin import walks as wa
+from gcruin import williamson as wi
 
 STEP = me.uniform(0.0, 1.0)
 
@@ -271,6 +272,251 @@ def test_alpha_u_grid_files(tmp_path):
     summary_digest = hashlib.sha256((tmp_path / "ruin_summary.json").read_bytes()).hexdigest()
     assert csv_digest == ALPHA_GRID_CSV_SHA256
     assert summary_digest == ALPHA_GRID_SUMMARY_SHA256
+
+
+# ---------------------------------------------------------------------------
+# law expectations: char_fn, the two Stieltjes forms of the Williamson
+# transform, and total_mass, captured before the four hand-written
+# atom-sum-plus-density quadratures became Distribution.expect
+# ---------------------------------------------------------------------------
+
+EXPECT_ALGEBRAS = {
+    "classical": co.classical(), "symmetric": co.symmetric(),
+    "alpha_stable": co.alpha_stable(1.5), "max": co.max_algebra(),
+    "kendall": co.kendall(1.7), "kingman": co.kingman(0.2),
+    "kendall_type": co.kendall_type(3.0),
+}
+#: atoms only, densities only, both, a dilation, and supports starting above 0
+#: (so the compact kernels' cut 1/t falls below support_lower at t = 2.5)
+EXPECT_LAWS = {
+    "uniform01": me.uniform(0.0, 1.0),
+    "uniform_half_2": me.uniform(0.5, 2.0),
+    "pareto": me.pareto_2alpha(1.0),
+    "lom_alpha": me.lom_alpha(1.0, 1.5),
+    "lom_kendall": me.lom_kendall(2.0, 1.5),
+    "point": me.point_mass(1.0),
+    "table_atoms": me.table([(0.5, 0.3), (2.0, 0.7)]),
+    "kendall_pair": co.convolve_points(co.kendall(1.0), 0.5, 1.0),
+    "kendall_type_pair": co.convolve_points(co.kendall_type(3.0), 0.6, 1.5),
+    "kingman_pair": co.convolve_points(co.kingman(0.2), 0.6, 1.5),
+    "dilated": co.dilate(me.lom_kendall(1.0, 1.0), 2.0),
+}
+EXPECT_T = (0.4, 1.0, 2.5)
+
+#: char_fn at EXPECT_T.  The cosine kernel on the unbounded pareto and pair
+#: laws is left out: quad reaches its subdivision limit there.
+CHAR_FN = {
+    ("classical", "uniform01"):
+        ("0x1.a5fd86fe1e5aep-1", "0x1.43a54e4e98864p-1", "0x1.77fa5d3244dfbp-2"),
+    ("symmetric", "uniform01"):
+        ("0x1.f2749a3764144p-1", "0x1.aed548f090ceep-1", "0x1.ea44b494c7780p-3"),
+    ("alpha_stable", "uniform01"):
+        ("0x1.d00bc7f999d16p-1", "0x1.664b2e137a7c8p-1", "0x1.6eaa741e9b7eap-2"),
+    ("max", "uniform01"): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.999999999999ap-2"),
+    ("kendall", "uniform01"):
+        ("0x1.d80f5b6d73fe4p-1", "0x1.425ed097b7bfep-1", "0x1.01e573ac92ffep-2"),
+    ("kingman", "uniform01"):
+        ("0x1.fa579089dcbd4p-1", "0x1.dda2600597bd0p-1", "0x1.4c003d9c0a98ep-1"),
+    ("kendall_type", "uniform01"):
+        ("0x1.6a7ef9db22d0dp-1", "0x1.8000000000000p-2", "0x1.3333333333333p-3"),
+    ("classical", "uniform_half_2"):
+        ("0x1.3b390d58e6b4dp-1", "0x1.41ab5c4aa4774p-2", "0x1.31947b2d79ccdp-4"),
+    ("symmetric", "uniform_half_2"):
+        ("0x1.ba9cda090e632p-1", "0x1.25758eb9041bcp-2", "-0x1.047e3fcc90722p-1"),
+    ("alpha_stable", "uniform_half_2"):
+        ("0x1.679c8f5a9724cp-1", "0x1.2ce73f1995ecfp-2", "0x1.14f4cde29fbe5p-5"),
+    ("max", "uniform_half_2"): ("0x1.0000000000000p+0", "0x1.5555555555556p-2", "0x0.0p+0"),
+    ("kendall", "uniform_half_2"): ("0x1.5713b7aa4d84cp-1", "0x1.fd9dc49e0277dp-4", "0x0.0p+0"),
+    ("kingman", "uniform_half_2"):
+        ("0x1.e2c96ea4715ecp-1", "0x1.5d5440ec35124p-1", "-0x1.523a053c01006p-8"),
+    ("kendall_type", "uniform_half_2"):
+        ("0x1.570a3d70a3d70p-2", "0x1.2aaaaaaaaaaabp-5", "0x0.0p+0"),
+    ("classical", "pareto"):
+        ("0x1.0776179774907p-1", "0x1.c14c5d3bf8f95p-3", "0x1.0afbbba323593p-5"),
+    ("alpha_stable", "pareto"):
+        ("0x1.26f9c1dded1d4p-1", "0x1.6b9490e8e6c9cp-3", "0x1.18b0dfc27e2e5p-8"),
+    ("max", "pareto"): ("0x1.ae147ae147ae0p-1", "0x0.0p+0", "0x0.0p+0"),
+    ("kendall", "pareto"): ("0x1.014b0ab538f7bp-1", "0x0.0p+0", "0x0.0p+0"),
+    ("kingman", "pareto"):
+        ("0x1.b867a74d1eee0p-1", "0x1.fdfb7a9b4914ep-2", "-0x1.ae801cbabb3c6p-4"),
+    ("kendall_type", "pareto"): ("0x1.ba5e353f7ced7p-3", "0x0.0p+0", "0x0.0p+0"),
+    ("classical", "lom_alpha"):
+        ("0x1.6ecf707bb536bp-1", "0x1.e4283180849b0p-2", "0x1.c6bf28f1a1281p-3"),
+    ("symmetric", "lom_alpha"):
+        ("0x1.d15abd126db87p-1", "0x1.161d318cbc099p-1", "-0x1.1a2b59778df97p-4"),
+    ("alpha_stable", "lom_alpha"):
+        ("0x1.98a0077e9dc60p-1", "0x1.fffffffffff52p-2", "0x1.9d7fe20588d48p-3"),
+    ("max", "lom_alpha"): ("0x1.f62b6c3e19766p-1", "0x1.43a54e4e98865p-1", "0x1.c9c3f750a97fep-3"),
+    ("kendall", "lom_alpha"):
+        ("0x1.902b37a0867f2p-1", "0x1.8d8f833996bb8p-2", "0x1.f9f68044ac055p-4"),
+    ("kingman", "lom_alpha"):
+        ("0x1.ec497cecd1376p-1", "0x1.95fa04a6cfda7p-1", "0x1.6370c564983dap-2"),
+    ("kendall_type", "lom_alpha"):
+        ("0x1.0aa70ebf21b28p-1", "0x1.b7675e0009d59p-3", "0x1.04b6358bfca66p-4"),
+    ("classical", "lom_kendall"):
+        ("0x1.c6bae282803aep-1", "0x1.7e9ba41818fcap-1", "0x1.ff14b07f091f4p-2"),
+    ("symmetric", "lom_kendall"):
+        ("0x1.fb9ee811376d4p-1", "0x1.e4eecf4ac96f3p-1", "0x1.623ec6c41bd02p-1"),
+    ("alpha_stable", "lom_kendall"):
+        ("0x1.e9c534a838ae6p-1", "0x1.af46f132f576bp-1", "0x1.13cadf424118ep-1"),
+    ("max", "lom_kendall"):
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.6e5b7d16657e1p-1"),
+    ("kendall", "lom_kendall"):
+        ("0x1.f071130877eaap-1", "0x1.b6219f2f01d45p-1", "0x1.854134e7cbd61p-2"),
+    ("kingman", "lom_kendall"):
+        ("0x1.fe2c8fedca74dp-1", "0x1.f4ac9b298cce0p-1", "0x1.bc7d139d70c33p-1"),
+    ("kendall_type", "lom_kendall"):
+        ("0x1.a485cd7b900aep-1", "0x1.2444444444444p-1", "0x1.86c7fce4b086bp-3"),
+    ("classical", "point"):
+        ("0x1.57343067270eep-1", "0x1.78b56362cef38p-2", "0x1.50385c094f425p-4"),
+    ("symmetric", "point"):
+        ("0x1.d7954e7dba2f8p-1", "0x1.14a280fb5068cp-1", "-0x1.9a2f7ef858b7dp-1"),
+    ("alpha_stable", "point"):
+        ("0x1.8d8f022bd5a00p-1", "0x1.78b56362cef38p-2", "0x1.3a92783cd1357p-6"),
+    ("max", "point"): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
+    ("kendall", "point"): ("0x1.942976daabdf8p-1", "0x0.0p+0", "0x0.0p+0"),
+    ("kingman", "point"): ("0x1.ef167cad52947p-1", "0x1.9b3d0a3a52e3fp-1", "0x1.775d62b4969efp-4"),
+    ("kendall_type", "point"): ("0x1.ba5e353f7ced8p-2", "0x0.0p+0", "0x0.0p+0"),
+    ("classical", "table_atoms"):
+        ("0x1.1ecbea55a9070p-1", "0x1.1b55a50c5faa7p-2", "0x1.73604a733659fp-4"),
+    ("symmetric", "table_atoms"):
+        ("0x1.903ce7bc021d1p-1", "-0x1.cb36061d1e3a0p-6", "0x1.2c3232941dbfdp-2"),
+    ("alpha_stable", "table_atoms"):
+        ("0x1.3bb0882c97f7ap-1", "0x1.02144d725c17bp-2", "0x1.2fcdcdd52482ap-4"),
+    ("max", "table_atoms"): ("0x1.0000000000000p+0", "0x1.3333333333333p-2", "0x0.0p+0"),
+    ("kendall", "table_atoms"): ("0x1.00c932b9c5b0ep-1", "0x1.a94bd4f337e1bp-3", "0x0.0p+0"),
+    ("kingman", "table_atoms"):
+        ("0x1.d0a52f07e6ef0p-1", "0x1.0aa8d045a7490p-1", "0x1.1d956bfb19f9ep-4"),
+    ("kendall_type", "table_atoms"): ("0x1.0068db8bac70fp-2", "0x1.8000000000000p-4", "0x0.0p+0"),
+    ("classical", "kendall_pair"):
+        ("0x1.2f5523ff4dcfap-1", "0x1.2cadc90065b81p-2", "0x1.d5b639dae0eeep-5"),
+    ("alpha_stable", "kendall_pair"):
+        ("0x1.5a446204e15eap-1", "0x1.173fd5eba12c3p-2", "0x1.80beb02d70c10p-7"),
+    ("max", "kendall_pair"): ("0x1.d70a3d70a3d70p-1", "0x1.0000000000000p-1", "0x0.0p+0"),
+    ("kendall", "kendall_pair"): ("0x1.4aba40c7f26bap-1", "0x0.0p+0", "0x0.0p+0"),
+    ("kingman", "kendall_pair"):
+        ("0x1.d3bf11fd38c14p-1", "0x1.4d1d63c3fbb73p-1", "-0x1.b915d03124eb8p-8"),
+    ("kendall_type", "kendall_pair"): ("0x1.4bc6a7ef9db22p-2", "0x0.0p+0", "0x0.0p+0"),
+    ("classical", "kendall_type_pair"):
+        ("0x1.e4de24488144cp-2", "0x1.5c8b1ce85e01bp-3", "0x1.f3530d4ed8116p-7"),
+    ("alpha_stable", "kendall_type_pair"):
+        ("0x1.0c1fc299464ebp-1", "0x1.b942109b3be6ep-4", "0x1.89b8bfd16d8a8p-12"),
+    ("max", "kendall_type_pair"): ("0x1.b385fedd15446p-1", "0x0.0p+0", "0x0.0p+0"),
+    ("kendall", "kendall_type_pair"): ("0x1.aa35e473b708cp-2", "0x0.0p+0", "0x0.0p+0"),
+    ("kingman", "kendall_type_pair"):
+        ("0x1.b4b4d83b64c1ep-1", "0x1.a64ac487879f4p-2", "-0x1.ac61636b87924p-3"),
+    ("kendall_type", "kendall_type_pair"): ("0x1.1392fc3df5fc3p-3", "0x0.0p+0", "0x0.0p+0"),
+    ("classical", "kingman_pair"):
+        ("0x1.146233e72bc0fp-1", "0x1.ca2ad1d85cf51p-3", "0x1.f5f314c567538p-6"),
+    ("symmetric", "kingman_pair"):
+        ("0x1.997864814f2a1p-1", "-0x1.d831abe5c31ddp-10", "-0x1.a1a3e8fee4ed2p-2"),
+    ("alpha_stable", "kingman_pair"):
+        ("0x1.38aa46ce498d3p-1", "0x1.5bd6f2e432606p-3", "0x1.2f2cf4eadf0d8p-8"),
+    ("max", "kingman_pair"): ("0x1.ffffffffffd3fp-1", "0x1.8baa889760316p-4", "0x0.0p+0"),
+    ("kendall", "kingman_pair"): ("0x1.0f98335fd7a0ap-1", "0x1.2f54314789a9bp-7", "0x0.0p+0"),
+    ("kingman", "kingman_pair"):
+        ("0x1.d4b4461d458dfp-1", "0x1.16d461729da87p-1", "-0x1.5bab8e9ba2648p-3"),
+    ("kendall_type", "kingman_pair"):
+        ("0x1.9fa5115b6204fp-3", "0x1.3a8101391916cp-11", "0x0.0p+0"),
+    ("classical", "dilated"):
+        ("0x1.606df148ed6cap-1", "0x1.bab5557101f8cp-2", "0x1.96d7133665113p-3"),
+    ("symmetric", "dilated"):
+        ("0x1.cb1b9f36ffe80p-1", "0x1.d18f6ead1b446p-2", "-0x1.88c67f7e6e0f2p-3"),
+    ("alpha_stable", "dilated"):
+        ("0x1.8941256b0c88ap-1", "0x1.c1273c385cbbbp-2", "0x1.71c347d2630efp-3"),
+    ("max", "dilated"): ("0x1.0000000000000p+0", "0x1.0000000000000p-1", "0x1.999999999999ap-3"),
+    ("kendall", "dilated"):
+        ("0x1.7e3c098ee5000p-1", "0x1.425ed097b7bfep-2", "0x1.01e573ac92ffep-3"),
+    ("kingman", "dilated"):
+        ("0x1.e9bc2d0b55b28p-1", "0x1.83cb2097deb6bp-1", "0x1.c3645e5a7075ep-3"),
+    ("kendall_type", "dilated"):
+        ("0x1.db22d0e560417p-2", "0x1.8000000000000p-3", "0x1.3333333333333p-4"),
+}
+
+#: transform_form1 at EXPECT_T, keyed by (alpha, law)
+TRANSFORM_FORM1 = {
+    (1.0, "uniform01"): ("0x1.999999999999bp-1", "0x1.0000000000000p-1", "0x1.9999999999999p-3"),
+    (1.7, "uniform01"): ("0x1.d80f5b6d73fe4p-1", "0x1.425ed097b7bfep-1", "0x1.01e573ac92ffep-2"),
+    (1.0, "uniform_half_2"): ("0x1.ffffffffffffep-2", "0x1.5555555555556p-4", "0x0.0p+0"),
+    (1.7, "uniform_half_2"): ("0x1.5713b7aa4d84cp-1", "0x1.fd9dc49e0277dp-4", "0x0.0p+0"),
+    (1.0, "pareto"): ("0x1.70a3d70a3d709p-2", "0x0.0p+0", "0x0.0p+0"),
+    (1.7, "pareto"): ("0x1.014b0ab538f7bp-1", "0x0.0p+0", "0x0.0p+0"),
+    (1.0, "lom_alpha"): ("0x1.48aac5f0b684ap-1", "0x1.3369a3d917366p-2", "0x1.7fa1c0337734dp-4"),
+    (1.7, "lom_alpha"): ("0x1.902b37a0867f2p-1", "0x1.8d8f833996bb8p-2", "0x1.f9f68044ac055p-4"),
+    (1.0, "lom_kendall"): ("0x1.c28f5c28f5c29p-1", "0x1.6666666666664p-1", "0x1.2515fdab8464ep-2"),
+    (1.7, "lom_kendall"): ("0x1.f071130877eaap-1", "0x1.b6219f2f01d45p-1", "0x1.854134e7cbd61p-2"),
+    (1.0, "point"): ("0x1.3333333333333p-1", "0x0.0p+0", "0x0.0p+0"),
+    (1.7, "point"): ("0x1.942976daabdf8p-1", "0x0.0p+0", "0x0.0p+0"),
+    (1.0, "table_atoms"): ("0x1.851eb851eb851p-2", "0x1.3333333333333p-3", "0x0.0p+0"),
+    (1.7, "table_atoms"): ("0x1.00c932b9c5b0ep-1", "0x1.a94bd4f337e1bp-3", "0x0.0p+0"),
+    (1.0, "kendall_pair"): ("0x1.eb851eb851eb8p-2", "0x0.0p+0", "0x0.0p+0"),
+    (1.7, "kendall_pair"): ("0x1.4aba40c7f26bap-1", "0x0.0p+0", "0x0.0p+0"),
+    (1.0, "kendall_type_pair"): ("0x1.210fdedf0cda1p-2", "0x0.0p+0", "0x0.0p+0"),
+    (1.7, "kendall_type_pair"): ("0x1.aa35e473b708cp-2", "0x0.0p+0", "0x0.0p+0"),
+    (1.0, "kingman_pair"): ("0x1.7cc4274b1378bp-2", "0x1.6e5ccbfbcdce1p-8", "0x0.0p+0"),
+    (1.7, "kingman_pair"): ("0x1.0f98335fd7a0ap-1", "0x1.2f54314789a98p-7", "0x0.0p+0"),
+    (1.0, "dilated"): ("0x1.3333333333333p-1", "0x1.0000000000000p-2", "0x1.9999999999999p-4"),
+    (1.7, "dilated"): ("0x1.7e3c098ee5000p-1", "0x1.425ed097b7bfep-2", "0x1.01e573ac92ffep-3"),
+}
+
+#: transform_form2 at EXPECT_T, keyed by (alpha, law)
+TRANSFORM_FORM2 = {
+    (1.0, "uniform01"): ("0x1.999999999999ap-1", "0x1.0000000000000p-1", "0x1.9999999999999p-3"),
+    (1.7, "uniform01"): ("0x1.d80f5b6d6fd29p-1", "0x1.425ed097b7bfdp-1", "0x1.01e573ac92ffdp-2"),
+    (1.0, "uniform_half_2"): ("0x1.0000000000000p-1", "0x1.5555555555554p-4", "0x0.0p+0"),
+    (1.7, "uniform_half_2"): ("0x1.5713b7aa4d84dp-1", "0x1.fd9dc49e0277cp-4", "0x0.0p+0"),
+    (1.0, "pareto"): ("0x1.70a3d70a3d70ap-2", "0x0.0p+0", "0x0.0p+0"),
+    (1.7, "pareto"): ("0x1.014b0ab538f7bp-1", "0x0.0p+0", "0x0.0p+0"),
+    (1.0, "lom_alpha"): ("0x1.48aac5f0bce54p-1", "0x1.3369a3d9297d5p-2", "0x1.7fa1c03389b3cp-4"),
+    (1.7, "lom_alpha"): ("0x1.902b37a08853ap-1", "0x1.8d8f83399f3d1p-2", "0x1.f9f68044b49b7p-4"),
+    (1.0, "lom_kendall"): ("0x1.c28f5c28f7967p-1", "0x1.666666666af82p-1", "0x1.2515fdab9178bp-2"),
+    (1.7, "lom_kendall"): ("0x1.f07113087830ep-1", "0x1.b6219f2f03222p-1", "0x1.854134e7d1e6bp-2"),
+    (1.0, "point"): ("0x1.3333333333333p-1", "0x0.0p+0", "0x0.0p+0"),
+    (1.7, "point"): ("0x1.942976daabdf8p-1", "0x0.0p+0", "0x0.0p+0"),
+    (1.0, "table_atoms"): ("0x1.851eb851eb852p-2", "0x1.3333333333333p-3", "0x0.0p+0"),
+    (1.7, "table_atoms"): ("0x1.00c932b9c5b0ep-1", "0x1.a94bd4f337e1ap-3", "0x0.0p+0"),
+    (1.0, "kendall_pair"): ("0x1.eb851eb851eb6p-2", "0x0.0p+0", "0x0.0p+0"),
+    (1.7, "kendall_pair"): ("0x1.4aba40c7f26b9p-1", "0x0.0p+0", "0x0.0p+0"),
+    (1.0, "kendall_type_pair"): ("0x1.210fdedf0cda0p-2", "0x0.0p+0", "0x0.0p+0"),
+    (1.7, "kendall_type_pair"): ("0x1.aa35e473b708bp-2", "0x0.0p+0", "0x0.0p+0"),
+    (1.0, "kingman_pair"): ("0x1.7cc4274b19b98p-2", "0x1.6e5ccbfbb4250p-8", "0x0.0p+0"),
+    (1.7, "kingman_pair"): ("0x1.0f98335fd7f9cp-1", "0x1.2f5431477d3f0p-7", "0x0.0p+0"),
+    (1.0, "dilated"): ("0x1.3333333333333p-1", "0x1.0000000000000p-2", "0x1.9999999999999p-4"),
+    (1.7, "dilated"): ("0x1.7e3c098ed7737p-1", "0x1.425ed097b7bfdp-2", "0x1.01e573ac92ffdp-3"),
+}
+
+TOTAL_MASS = {
+    "uniform01": "0x1.0000000000000p+0",
+    "uniform_half_2": "0x1.0000000000000p+0",
+    "pareto": "0x1.0000000000000p+0",
+    "lom_alpha": "0x1.0000000000000p+0",
+    "lom_kendall": "0x1.0000000000000p+0",
+    "point": "0x1.0000000000000p+0",
+    "table_atoms": "0x1.0000000000000p+0",
+    "kendall_pair": "0x1.0000000000000p+0",
+    "kendall_type_pair": "0x1.0000000000000p+0",
+    "kingman_pair": "0x1.ffffffffffd3fp-1",
+    "dilated": "0x1.0000000000000p+0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CHAR_FN), ids="/".join)
+def test_char_fn(key):
+    alg, law = EXPECT_ALGEBRAS[key[0]], EXPECT_LAWS[key[1]]
+    assert hexes([co.char_fn(alg, law, t) for t in EXPECT_T]) == CHAR_FN[key]
+
+
+@pytest.mark.parametrize("form, pins", [(wi.transform_form1, TRANSFORM_FORM1),
+                                        (wi.transform_form2, TRANSFORM_FORM2)])
+def test_williamson_stieltjes_forms(form, pins):
+    for (alpha, name), want in pins.items():
+        got = hexes([form(EXPECT_LAWS[name], alpha, t) for t in EXPECT_T])
+        assert got == want, (form.__name__, alpha, name)
+
+
+def test_total_mass():
+    got = {name: law.total_mass().hex() for name, law in EXPECT_LAWS.items()}
+    assert got == TOTAL_MASS
 
 
 # ---------------------------------------------------------------------------

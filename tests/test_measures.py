@@ -52,6 +52,38 @@ def test_uniform_and_table():
         me.table([(1.0, 0.5)], [(0.0, 0.0), (1.0, 0.6)])  # mass 1.1
 
 
+GOLDEN_TABLE = me.table([(0.5, 0.3), (2.0, 0.2)], [(0.0, 0.0), (1.0, 0.25), (3.0, 0.5)])
+
+
+def test_table_density_is_the_slope_of_its_continuous_part():
+    np.testing.assert_array_equal(GOLDEN_TABLE.density(np.array([-1.0, 0.5, 1.5, 2.0, 3.5])),
+                                  [0.0, 0.25, 0.125, 0.125, 0.0])
+    assert GOLDEN_TABLE.total_mass() == pytest.approx(1.0, abs=1e-10)
+    assert me.table([(1.0, 1.0)]).density is None
+    with pytest.raises(me.ParameterError, match="atoms"):
+        me.table([], [(0.0, 0.25), (1.0, 1.0)])  # a jump at 0 is an atom
+
+
+def test_expect_sums_atoms_and_integrates_the_density():
+    # 0.3 * 0.5 + 0.2 * 2 + int_0^1 x / 4 dx + int_1^3 x / 8 dx
+    assert GOLDEN_TABLE.expect(lambda x: x) == pytest.approx(1.175, abs=1e-10)
+    assert me.uniform(0.0, 1.0).expect(lambda x: x * x) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert me.point_mass(2.0).expect(lambda x: x**3) == 8.0
+
+
+def test_expect_stops_the_quadrature_at_upper():
+    assert me.uniform(0.0, 2.0).expect(lambda x: max(1.0 - x, 0.0), 1.0) == pytest.approx(0.25)
+    # g = 1{x <= 1}: the atom at 0.5 plus the density's mass on (0, 1) is F(1)
+    below_one = GOLDEN_TABLE.expect(lambda x: 1.0 if x <= 1.0 else 0.0, 1.0)
+    assert below_one == pytest.approx(float(GOLDEN_TABLE.cdf(1.0)), abs=1e-12)
+
+
+def test_expect_below_support_lower_integrates_nothing():
+    assert me.uniform(0.5, 2.0).expect(lambda x: 1.0, 0.4) == 0.0
+    pair = co.convolve_points(co.kendall(1.0), 0.5, 1.0)  # atom and density from 1 on
+    assert pair.expect(lambda x: 1.0 if x <= 0.5 else 0.0, 0.5) == 0.0
+
+
 def test_sampling_is_deterministic_and_correct():
     d = me.lom_alpha(1.0, 1.0)
     a = d.sample(1000, seed=42)

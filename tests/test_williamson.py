@@ -15,6 +15,8 @@ def pairs_under_test():
         (me.uniform(0, 2), 2.0),
         (me.pareto_2alpha(1.0), 1.0),
         (me.point_mass(1.0), 1.0),
+        # atoms plus a continuous part
+        (me.table([(0.5, 0.3), (2.0, 0.2)], [(0.0, 0.0), (1.0, 0.25), (3.0, 0.5)]), 1.0),
     ]
 
 
