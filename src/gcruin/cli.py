@@ -216,7 +216,13 @@ def _ruin_one(model: RiskModel, method: str, u: float, args) -> RuinEstimate:
 
 def _cmd_ruin(args, out: Path) -> dict:
     model = _load_model(args.model)
-    method = args.method if args.method != "auto" else _auto_method(model)
+    if args.method != "auto":
+        method = args.method
+    else:
+        method = "mc" if args.t is not None else _auto_method(model)
+    if args.t is not None and method != "mc":
+        raise _ValidationError(f"--t sets a finite horizon, which only the mc method "
+                               f"solves; --method {method} is infinite-horizon")
     if args.u_grid is not None:
         us = _parse_grid(args.u_grid, "--u-grid")
     else:
@@ -284,8 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--method", default="auto",
                    choices=["auto", "volterra", "ode", "closed", "mc"])
-    s.add_argument("--u", type=float, default=None)
-    s.add_argument("--u-grid", default=None)
+    capital = s.add_mutually_exclusive_group()
+    capital.add_argument("--u", type=float, default=None)
+    capital.add_argument("--u-grid", default=None)
     s.add_argument("--t", type=float, default=None,
                    help="finite time horizon (MC only); omit for infinite horizon")
     s.add_argument("--paths", type=int, default=100_000)

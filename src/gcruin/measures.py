@@ -302,6 +302,8 @@ def table(atoms: Sequence[tuple[float, float]],
     cs = np.array([p[1] for p in cdf_points], dtype=float)
     for x, v in (*atoms, *zip(xs, cs)):
         _check_finite(table_point=x, table_value=v)
+    if np.any(xs < 0):
+        raise ParameterError("cdf_points need nonnegative x; the law lives on [0, oo)")
     if xs.size:
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(cs) < 0):
             raise ParameterError("cdf_points must be strictly increasing in x and nondecreasing in C")
@@ -391,10 +393,16 @@ def moment_alpha(d: Distribution, alpha: float) -> float:
 
 
 def power_transform(d: Distribution, alpha: float) -> Distribution:
-    """Law of X^alpha when X ~ d (used to move the alpha-model to its z-scale)."""
+    """Law of X^alpha when X ~ d (used to move the alpha-model to its z-scale).
+
+    A density f of d becomes f(z^(1/a)) z^(1/a - 1) / a, zero at and below
+    the new support's lower end.
+    """
+    _check_finite(alpha=alpha)
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     inv = 1.0 / alpha
+    lower = d.support_lower**alpha
 
     def cdf(z):
         z = _as_array(z)
@@ -404,8 +412,18 @@ def power_transform(d: Distribution, alpha: float) -> Distribution:
         base = d.quantile(q)
         return np.power(_as_array(base), alpha)
 
+    density = None
+    if d.density is not None:
+        def density(z):
+            z = _as_array(z)
+            out = np.zeros(z.shape)
+            on = z > lower
+            zon = z[on]
+            out[on] = d.density(np.power(zon, inv)) * np.power(zon, inv - 1.0) / alpha
+            return out
+
     atoms = tuple((loc**alpha, m) for loc, m in d.atoms)
-    return Distribution(atoms, cdf, quantile, None, d.support_upper**alpha, d.support_lower**alpha,
+    return Distribution(atoms, cdf, quantile, density, d.support_upper**alpha, lower,
                         family="power", params={"base": d.family, "alpha": alpha})
 
 

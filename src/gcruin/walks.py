@@ -28,7 +28,6 @@ from .measures import Distribution, ParameterError, _invert_cdf
 __all__ = [
     "CHUNK",
     "WalkPath",
-    "kendall_step",
     "apply_step_batch",
     "simulate",
     "simulate_terminal",
@@ -61,24 +60,6 @@ class WalkPath:
     steps: tuple[float, ...] = ()
 
 
-def kendall_step(x: float, u: float, xi: float, pi: float, alpha: float) -> float:
-    """One Kendall move from state x with step u.
-
-    M = max(x, u) is kept with probability 1 - (min/max)^alpha, otherwise the
-    walk jumps to M * pi where pi is a Pareto(2 alpha) catalyzer draw >= 1.
-    Ties xi == rho keep M (a probability-zero event).
-    """
-    if x < 0 or u < 0:
-        raise ParameterError("state and step must be nonnegative")
-    if not (0.0 < xi < 1.0) or pi < 1.0:
-        raise ParameterError("catalyzers must satisfy xi in (0,1), pi >= 1")
-    big, small = max(x, u), min(x, u)
-    if big == 0.0:
-        return 0.0
-    rho = (small / big) ** alpha
-    return big if xi >= rho else big * pi
-
-
 def _pareto_2alpha_draws(rng: np.random.Generator, alpha: float, n: int) -> np.ndarray:
     # inverse CDF of 1 - x^(-2 alpha) on [1, oo)
     return np.power(1.0 - rng.random(n), -1.0 / (2.0 * alpha))
@@ -105,6 +86,8 @@ def apply_step_batch(alg: ConvolutionAlgebra, x: np.ndarray, u: np.ndarray,
         plus = rng.random(n) < 0.5
         return np.where(plus, x + u, np.abs(x - u))
     if k == "kendall":
+        # keep M = max(x, u) with probability 1 - (min/max)^a, else jump to
+        # M * pi with pi a Pareto(2a) catalyzer draw >= 1
         a = alg.alpha
         xi = rng.random(n)
         pi = _pareto_2alpha_draws(rng, a, n)

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
+from .convolutions import convolve_points, kendall
 from .measures import Distribution, ParameterError, QUAD_TOL, _as_array
 
 __all__ = [
@@ -131,14 +132,17 @@ def williamson_invert(H: Callable, alpha: float, t: float,
 class KendallLawPair:
     """A step law's CDF F together with H(t) = Phi(1/t) for a fixed order a.
 
-    H'(t) = a (F(t) - H(t)) / t everywhere both are defined, so the pair
-    carries its own exact derivative.
+    F is the law's own CDF.  H'(t) = a (F(t) - H(t)) / t everywhere both are
+    defined, so the pair carries its own exact derivative.
     """
 
-    F: Callable[[np.ndarray], np.ndarray]
     H: Callable[[np.ndarray], np.ndarray]
     alpha: float
     dist: Distribution
+
+    @property
+    def F(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self.dist.cdf
 
     def dH(self, t):
         t = _as_array(t)
@@ -205,7 +209,7 @@ def kendall_pair(d: Distribution, alpha: float) -> KendallLawPair:
             out = np.array([williamson_transform(d, alpha, 1.0 / xv) if xv > 0 else 0.0
                             for xv in arr])
             return out[0] if np.ndim(x) == 0 else out
-    return KendallLawPair(F=d.cdf, H=H, alpha=alpha, dist=d)
+    return KendallLawPair(H=H, alpha=alpha, dist=d)
 
 
 # ---------------------------------------------------------------------------
@@ -214,34 +218,19 @@ def kendall_pair(d: Distribution, alpha: float) -> KendallLawPair:
 
 def n_step_cdf(pair: KendallLawPair, n: int, t):
     """CDF of the n-step Kendall walk: H^(n-1) [H + n (F - H)]."""
-    if n < 0:
-        raise ParameterError("n must be >= 0")
-    t = _as_array(t)
-    if np.any(t <= 0):
-        raise ParameterError("t must be positive")
-    if n == 0:
-        out = np.ones_like(t)
-        return float(out) if out.ndim == 0 else out
-    F, H = pair.F(t), pair.H(t)
-    out = np.power(H, n - 1) * (H + n * (F - H))
-    return float(out) if out.ndim == 0 else out
+    return shifted_n_step_cdf(0.0, pair, n, t)
 
 
 def compound_cdf(pair: KendallLawPair, lam: float, t: float, x):
     """CDF of the Poisson(lam * t)-compounded walk position, N = 0 included."""
-    if lam < 0 or t < 0:
-        raise ParameterError("lam and t must be nonnegative")
-    x = _as_array(x)
-    if np.any(x <= 0):
-        raise ParameterError("x must be positive")
-    lt = lam * t
-    F, H = pair.F(x), pair.H(x)
-    out = (1.0 + lt * (F - H)) * np.exp(-lt * (1.0 - H))
-    return float(out) if out.ndim == 0 else out
+    return shifted_compound_cdf(0.0, pair, lam, t, x)
 
 
 def shifted_n_step_cdf(u: float, pair: KendallLawPair, n: int, t):
-    """CDF of the walk started at u after n steps; atom at u of mass H(u)^n."""
+    """CDF of the walk started at u after n steps; atom at u of mass H(u)^n.
+
+    H^(n-1) [H + n Psi(u/t) (F - H)] on t >= u, and 0 below u.
+    """
     if u < 0:
         raise ParameterError("u must be nonnegative")
     if n < 0:
@@ -254,13 +243,16 @@ def shifted_n_step_cdf(u: float, pair: KendallLawPair, n: int, t):
         out = ind
         return float(out) if out.ndim == 0 else out
     F, H = pair.F(t), pair.H(t)
-    shrink = np.maximum(1.0 - np.power(u / np.maximum(t, 1e-300), pair.alpha), 0.0)
+    shrink = psi(u / np.maximum(t, 1e-300), pair.alpha)
     out = ind * np.power(H, n - 1) * (H + n * shrink * (F - H))
     return float(out) if out.ndim == 0 else out
 
 
 def shifted_compound_cdf(u: float, pair: KendallLawPair, lam: float, t: float, x):
-    """CDF of the Poisson-compounded walk started at u; 0 below u, atom at u."""
+    """CDF of the Poisson-compounded walk started at u; 0 below u, atom at u.
+
+    (1 + lam t Psi(u/x) (F - H)) exp(-lam t (1 - H)) on x >= u.
+    """
     if u < 0:
         raise ParameterError("u must be nonnegative")
     if lam < 0 or t < 0:
@@ -270,7 +262,7 @@ def shifted_compound_cdf(u: float, pair: KendallLawPair, lam: float, t: float, x
         raise ParameterError("x must be positive")
     lt = lam * t
     F, H = pair.F(x), pair.H(x)
-    shrink = 1.0 - np.power(u / np.maximum(x, 1e-300), pair.alpha)
+    shrink = psi(u / np.maximum(x, 1e-300), pair.alpha)
     out = np.where(x < u, 0.0, (1.0 + lt * shrink * (F - H)) * np.exp(-lt * (1.0 - H)))
     return float(out) if out.ndim == 0 else out
 
@@ -282,19 +274,14 @@ def shifted_compound_atom(u: float, pair: KendallLawPair, lam: float, t: float) 
 
 
 def transition_cdf_points(alpha: float, x: float, y: float, t: float) -> float:
-    """h(x, y, t) = (1 - (xy/t^2)^a) 1{x < t, y < t}."""
-    if t <= 0:
-        raise ParameterError("t must be positive")
-    if x >= t or y >= t:
-        return 0.0
-    return 1.0 - (x * y / t**2) ** alpha
+    """P(X <= t) for X ~ delta_x <> delta_y in the Kendall algebra of order alpha.
+
+    Below max(x, y) this is 0; from there on it is 1 - (xy/t^2)^a.  The
+    published h(x, y, t), written with strict inequalities, is its left limit.
+    """
+    return convolve_points(kendall(alpha), x, y).cdf(t)
 
 
 def one_step_from_point_cdf(v: float, pair: KendallLawPair, t: float) -> float:
-    """One-step transition CDF from state v: [Psi(v/t) F(t) + (1 - Psi(v/t)) H(t)] 1{v < t}."""
-    if t <= 0:
-        raise ParameterError("t must be positive")
-    if v >= t:
-        return 0.0
-    w = float(psi(v / t, pair.alpha))
-    return w * float(pair.F(np.array([t]))[0]) + (1.0 - w) * float(pair.H(np.array([t]))[0])
+    """One-step transition CDF from state v: Psi(v/t) F(t) + (1 - Psi(v/t)) H(t) on t >= v."""
+    return shifted_n_step_cdf(v, pair, 1, t)

@@ -328,3 +328,46 @@ def test_workers_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["--out", str(tmp_path), "--workers", "2", "sample",
                   "--law", '{"family": "point", "a": 1.0}'])
+
+
+# ---------------------------------------------------------------------------
+# ruin options are used or refused, never dropped
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model, extra", [
+    (ALPHA_MODEL, ["--u", "1"]),
+    (MAX_MODEL, ["--u", "0.5"]),
+], ids=["alpha", "max"])
+def test_ruin_finite_horizon_auto_runs_mc(tmp_path, model, extra):
+    assert cli.main(["--out", str(tmp_path), "ruin", "--model", model, *extra,
+                     "--t", "0.5", "--paths", "2000"]) == 0
+    assert json.loads((tmp_path / "ruin_summary.json").read_text())["method"] == "mc"
+
+
+@pytest.mark.parametrize("model, method", [
+    (ALPHA_MODEL, "volterra"),
+    (MAX_MODEL, "closed"),
+    (MAX_MODEL, "ode"),
+], ids=["volterra", "closed", "ode"])
+def test_ruin_finite_horizon_refuses_infinite_horizon_methods(tmp_path, capsys, model, method):
+    assert cli.main(["--out", str(tmp_path), "ruin", "--model", model, "--u", "0.5",
+                     "--t", "0.1", "--method", method]) == 2
+    assert "--t" in capsys.readouterr().err
+    assert not (tmp_path / "ruin.csv").exists()
+    assert not list(tmp_path.glob("*_meta.json"))
+
+
+def test_ruin_u_and_u_grid_are_exclusive(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path), "ruin", "--model", MAX_MODEL,
+                  "--u", "0.9", "--u-grid", "0:1:3"])
+    assert exc.value.code == 2
+    assert "not allowed" in capsys.readouterr().err
+    assert not (tmp_path / "ruin.csv").exists()
+
+
+def test_table_law_with_negative_knot_exits_2(tmp_path, capsys):
+    assert cli.main(["--out", str(tmp_path), "sample", "--n", "5", "--law",
+                     '{"family": "table", "cdf_points": [[-1, 0], [1, 1]]}']) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "sample.csv").exists()

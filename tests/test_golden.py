@@ -9,6 +9,7 @@ stored as ``float.hex`` strings and arrays as the sha256 of their float64
 bytes, so the comparison is exact.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -605,3 +606,66 @@ def test_cli_data_files(run, tmp_path):
     argv, name = CLI_RUNS[run]
     assert cli.main(["--out", str(tmp_path), *argv]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == CLI_SHA256[run]
+
+
+# ---------------------------------------------------------------------------
+# Kendall walk CDFs: n-step, compounded and their capital-shifted forms,
+# captured while the unshifted forms still had their own formulas
+# ---------------------------------------------------------------------------
+
+#: closed-form H (point, uniform, lom_kendall, pareto on both of its
+#: branches) and numeric H (lom_alpha, a table with atoms and a density)
+WALK_LAWS = {
+    "point": (me.point_mass(1.0), 1.0),
+    "uniform": (me.uniform(0.0, 1.0), 1.7),
+    "lom_kendall": (me.lom_kendall(1.0, 1.0), 1.0),
+    "pareto": (me.pareto_2alpha(1.0), 1.0),
+    "pareto_log": (me.pareto_2alpha(0.5), 1.0),
+    "lom_alpha": (me.lom_alpha(1.0, 1.5), 1.5),
+    "table": (TABLE, 1.0),
+}
+#: contains every starting capital in WALK_U, so each shifted atom is hit
+WALK_T = np.array([0.05, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 10.0])
+WALK_U = (0.0, 0.3, 0.7, 1.0, 2.0)
+WALK_N = (0, 1, 2, 3, 6)
+WALK_LT = ((1.0, 1.0), (2.0, 0.5), (0.5, 3.0), (1.0, 0.0))
+
+WALK_CDF_SHA256 = {
+    "lom_alpha": "42c7385e4dcf4c2a9b2449df92270502935ddf110a96365dbb8924bc845df8fa",
+    "lom_kendall": "7470945fc8f350d37acbe56c6b76a90f39f43c525cc8bb4181853db63cfabb20",
+    "pareto": "106cd17fca4a5372902d97992051933160d57486c30c66f14a029dfab242ab45",
+    "pareto_log": "ee2becd858f801a6b1301cfcbcdfc75e4cc12c43f45959d06b42ec2825fd97ae",
+    "point": "2a7b762de941435a400e3281202374b09b0bde1fc117cb8726ab731a16d1c957",
+    "table": "9833c72dbcdf740a3397f94bb4ad76237fbbcd074b15cea01a0f408b1d479f76",
+    "uniform": "2c84f44488b22ffad5a83c42c5de380fd18644c8bf2e00af1f0c6a61044c24ab",
+}
+
+
+def memo_pair(law, alpha):
+    """kendall_pair with H cached per argument, so numeric H is computed once."""
+    pair = wi.kendall_pair(law, alpha)
+    cache = {}
+
+    def H(x):
+        key = (np.ndim(x), np.asarray(x, dtype=np.float64).tobytes())
+        if key not in cache:
+            cache[key] = pair.H(x)
+        return cache[key]
+
+    return dataclasses.replace(pair, H=H)
+
+
+def walk_cdf_values(pair):
+    vals = [pair.F(WALK_T), pair.H(WALK_T)]
+    for t in (WALK_T, 1.5):
+        vals += [wi.n_step_cdf(pair, n, t) for n in WALK_N]
+        vals += [wi.compound_cdf(pair, lam, lt, t) for lam, lt in WALK_LT]
+        for u in WALK_U:
+            vals += [wi.shifted_n_step_cdf(u, pair, n, t) for n in WALK_N]
+            vals += [wi.shifted_compound_cdf(u, pair, lam, lt, t) for lam, lt in WALK_LT]
+    return np.concatenate([np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in vals])
+
+
+@pytest.mark.parametrize("name", sorted(WALK_LAWS))
+def test_kendall_walk_cdfs(name):
+    assert digest(walk_cdf_values(memo_pair(*WALK_LAWS[name]))) == WALK_CDF_SHA256[name]

@@ -5,6 +5,7 @@ import pytest
 
 from gcruin import convolutions as co
 from gcruin import measures as me
+from gcruin import williamson as wi
 
 
 def test_pareto_2alpha_cdf_and_quantile():
@@ -182,6 +183,45 @@ def test_power_transform():
     np.testing.assert_allclose(d.cdf(x), 1.0 - np.exp(-x), atol=1e-14)
 
 
+POWER_BASES = {
+    "uniform01": me.uniform(0.0, 1.0),
+    "uniform_half_2": me.uniform(0.5, 2.0),
+    "pareto": me.pareto_2alpha(1.0),
+    "lom_alpha": me.lom_alpha(1.0, 1.5),
+    "lom_kendall": me.lom_kendall(1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_BASES))
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+def test_power_transform_density_carries_the_mass(name, alpha):
+    d = me.power_transform(POWER_BASES[name], alpha)
+    assert d.total_mass() == pytest.approx(1.0, abs=1e-12)
+    # the Stieltjes form integrates the new density, the CDF form does not
+    for t in (0.4, 1.0, 2.5):
+        assert wi.transform_form1(d, 1.0, t) == pytest.approx(
+            float(wi.williamson_transform(d, 1.0, t)), abs=1e-9)
+
+
+def test_power_transform_density_formula():
+    d = me.power_transform(me.uniform(0.0, 1.0), 2.0)
+    # Z = X^2, X ~ U(0, 1): f(z) = 1 / (2 sqrt z) on (0, 1]
+    z = np.array([-1.0, 0.0, 0.25, 0.64, 2.0])
+    np.testing.assert_allclose(d.density(z), [0.0, 0.0, 1.0, 0.625, 0.0], atol=1e-15)
+    assert d.density(0.25) == pytest.approx(1.0)
+    shifted = me.power_transform(me.uniform(0.5, 2.0), 2.0)
+    # zero at and below the new lower end 0.25
+    np.testing.assert_array_equal(shifted.density(np.array([0.1, 0.25])), [0.0, 0.0])
+    assert co.char_fn(co.classical(), d, 1.0) == pytest.approx(0.746824132812427, abs=1e-12)
+
+
+def test_table_rejects_negative_knots():
+    with pytest.raises(me.ParameterError, match="nonnegative"):
+        me.table([], [(-1.0, 0.0), (1.0, 1.0)])
+    with pytest.raises(me.ParameterError, match="nonnegative"):
+        me.table([(1.0, 0.5)], [(-0.5, 0.0), (0.0, 0.1), (2.0, 0.5)])
+
+
 def test_distribution_from_json():
     d = me.distribution_from_json({"family": "lom_kendall", "c": 1.0, "alpha": 1.0})
     assert d.family == "lom_kendall"
@@ -223,6 +263,9 @@ NAN, INF = math.nan, math.inf
     lambda: me.table([(NAN, 1.0)]),
     lambda: me.table([(1.0, 0.5)], [(0.0, 0.0), (NAN, 0.5)]),
     lambda: me.distribution_from_json({"family": "lom_alpha", "gamma": 1.0, "alpha": NAN}),
+    lambda: me.power_transform(me.uniform(0.0, 1.0), NAN),
+    lambda: me.power_transform(me.uniform(0.0, 1.0), INF),
+    lambda: me.power_transform(me.uniform(0.0, 1.0), -INF),
 ])
 def test_builders_reject_non_finite_parameters(build):
     with pytest.raises(me.ParameterError, match="finite"):

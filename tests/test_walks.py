@@ -11,14 +11,16 @@ from gcruin import williamson as wi
 
 
 def test_kendall_step_trivial_cases():
-    assert wa.kendall_step(0.0, 5.0, 0.5, 2.0, 1.0) == 5.0   # rho = 0: keep max
+    alg = co.kendall(1.0)
+
+    def move(x, u):
+        n = 1000
+        return wa.apply_step_batch(alg, np.full(n, x), np.full(n, u), np.random.default_rng(4))
+
+    assert np.all(move(0.0, 5.0) == 5.0)   # rho = 0: keep max
     # x = u: rho = 1, always the Pareto branch
-    assert wa.kendall_step(1.0, 1.0, 0.5, 3.0, 1.0) == 3.0
-    assert wa.kendall_step(0.0, 0.0, 0.5, 2.0, 1.0) == 0.0
-    with pytest.raises(me.ParameterError):
-        wa.kendall_step(1.0, 1.0, 1.5, 2.0, 1.0)
-    with pytest.raises(me.ParameterError):
-        wa.kendall_step(1.0, 1.0, 0.5, 0.5, 1.0)
+    assert np.all(move(1.0, 1.0) > 1.0)
+    assert np.all(move(0.0, 0.0) == 0.0)
 
 
 def test_kendall_step_distribution_matches_point_convolution():

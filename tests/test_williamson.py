@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from gcruin import convolutions as co
 from gcruin import measures as me
+from gcruin import walks as wa
 from gcruin import williamson as wi
 
 
@@ -111,7 +114,7 @@ def test_psi_properties():
 def test_two_point_transition_closed_form():
     assert wi.transition_cdf_points(1.0, 1.0, 1.0, 2.0) == pytest.approx(0.75)
     assert wi.transition_cdf_points(1.0, 1.0, 1.5, 1.2) == 0.0
-    # neutral element: y = 0 reduces to the indicator of x < t
+    # neutral element: y = 0 reduces to the indicator of x ≤ t
     assert wi.transition_cdf_points(1.0, 1.0, 0.0, 2.0) == 1.0
     # agreement with the psi form
     for alpha in (0.7, 1.0, 2.0):
@@ -129,6 +132,64 @@ def test_one_step_from_point():
     assert wi.one_step_from_point_cdf(3.0, pair, 2.0) == 0.0
     # v = 0 reduces to F
     assert wi.one_step_from_point_cdf(0.0, pair, 1.5) == pytest.approx(1.0)
+
+
+def test_point_transitions_are_right_continuous_at_the_atom():
+    # P(X <= t) at t = max(x, y) keeps the atom mass 1 - (min/max)^a
+    assert wi.transition_cdf_points(1.0, 0.5, 1.0, 1.0) == 0.5
+    for alpha in (0.5, 1.0, 2.0):
+        assert wi.transition_cdf_points(alpha, 1.0, 0.0, 1.0) == 1.0   # delta_1 at 1
+    # from v = 0.5 with uniform(0, 1) steps the atom at v has mass H(0.5) = 1/4
+    pair = wi.kendall_pair(me.uniform(0.0, 1.0), 1.0)
+    assert wi.one_step_from_point_cdf(0.5, pair, 0.5) == 0.25
+    # ... and the engine puts that mass there: P(X_1 <= 0.5) = 1/4, P(X_1 < 0.5) = 0
+    rng = np.random.default_rng(8)
+    n = 100_000
+    x1 = wa.apply_step_batch(co.kendall(1.0), np.full(n, 0.5),
+                             me.uniform(0.0, 1.0).sample(n, rng), rng)
+    assert np.mean(x1 <= 0.5) == pytest.approx(0.25, abs=0.01)
+    assert np.mean(x1 < 0.5) == 0.0
+
+
+POINT_GRID = (0.0, 0.3, 0.5, 1.0, 1.5, 2.0)
+
+
+def test_point_transitions_are_the_pair_law_and_the_shifted_walk():
+    for alpha in (0.5, 1.0, 1.7):
+        for x, y, t in itertools.product(POINT_GRID, POINT_GRID, POINT_GRID[1:]):
+            law = co.convolve_points(co.kendall(alpha), x, y)
+            assert wi.transition_cdf_points(alpha, x, y, t) == law.cdf(t)
+        for law in (me.point_mass(1.0), me.uniform(0.0, 1.0), me.lom_kendall(1.0, 1.0)):
+            pair = wi.kendall_pair(law, alpha)
+            for v, t in itertools.product(POINT_GRID, POINT_GRID[1:]):
+                assert wi.one_step_from_point_cdf(v, pair, t) == \
+                    wi.shifted_n_step_cdf(v, pair, 1, t)
+
+
+def test_point_transitions_keep_the_published_values_off_the_atom():
+    """Away from t = max(x, y) (resp. t = v) the values are those of
+    h(x, y, t) = (1 - (xy/t^2)^a) 1{x < t, y < t} and of
+    [Psi(v/t) F(t) + (1 - Psi(v/t)) H(t)] 1{v < t}."""
+    for alpha in (0.5, 1.0, 1.7):
+        for x, y, t in itertools.product(POINT_GRID, POINT_GRID, POINT_GRID[1:]):
+            if t != max(x, y):
+                want = 1.0 - (x * y / t**2) ** alpha if max(x, y) < t else 0.0
+                assert abs(wi.transition_cdf_points(alpha, x, y, t) - want) <= 1e-14
+        for law in (me.point_mass(1.0), me.uniform(0.0, 1.0), me.lom_kendall(1.0, 1.0)):
+            pair = wi.kendall_pair(law, alpha)
+            for v, t in itertools.product(POINT_GRID, POINT_GRID[1:]):
+                if t != v:
+                    w = float(wi.psi(v / t, alpha))
+                    want = w * float(pair.F(t)) + (1.0 - w) * float(pair.H(t)) if v < t else 0.0
+                    assert abs(wi.one_step_from_point_cdf(v, pair, t) - want) <= 1e-14
+
+
+def test_pair_cdf_is_its_law_cdf():
+    law = me.lom_kendall(1.0, 1.0)
+    pair = wi.kendall_pair(law, 1.0)
+    assert pair.F == law.cdf
+    with pytest.raises(TypeError):
+        wi.KendallLawPair(F=me.point_mass(1.0).cdf, H=pair.H, alpha=1.0, dist=law)
 
 
 def test_multi_step_two_form_identity():
