@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .convolutions import algebra_from_json, char_fn, convolve_points, dilate
-from .measures import ParameterError, UnsupportedLawError, distribution_from_json
+from .measures import ParameterError, UnsupportedLawError, _check_finite, distribution_from_json
 from .risk import RiskModel, safety_condition_kendall, safety_condition_max
 from .ruin import (
     CertainRuinError,
@@ -318,10 +318,7 @@ _FINITE_OPTIONS = ("u", "t", "x", "y", "start")
 
 
 def _check_finite_options(args) -> None:
-    for name in _FINITE_OPTIONS:
-        value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            raise _ValidationError(f"--{name} must be finite, got {value}")
+    _check_finite(**{f"--{name}": getattr(args, name, None) for name in _FINITE_OPTIONS})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -337,7 +337,12 @@ def table(atoms: Sequence[tuple[float, float]],
             i = np.clip(np.searchsorted(xs, x) - 1, 0, slopes.size - 1)
             return np.where((x > xs[0]) & (x < xs[-1]), slopes[i], 0.0)
 
-    hi = max([x for x, _ in atoms] + ([float(xs[-1])] if xs.size else [0.0]))
+    # the supremum is the last point carrying mass: zero-mass atoms and a flat
+    # end of the continuous part lie above every draw
+    tops = [x for x, m in atoms if m > 0]
+    if cont_mass > 0.0:
+        tops.append(float(xs[np.argmax(cs == cont_mass)]))
+    hi = max(tops)
     lo = min([x for x, _ in atoms] + ([float(xs[0])] if xs.size else [hi]))
     return Distribution(atoms, cdf, None, density, hi, lo, family="table", params={})
 

@@ -26,7 +26,9 @@ from .measures import (
     ParameterError,
     QUAD_TOL,
     UnsupportedLawError,
+    _check_finite,
     moment_alpha,
+    power_transform,
 )
 from .walks import apply_step_batch, chunk_streams
 from .williamson import KendallLawPair, kendall_pair
@@ -59,9 +61,7 @@ class RiskModel:
     beta: float = 1.0
 
     def __post_init__(self):
-        for name in ("u", "lam", "beta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_finite(u=self.u, lam=self.lam, beta=self.beta)
         if self.u < 0:
             raise ParameterError("initial capital must be nonnegative")
         if self.lam <= 0:
@@ -132,31 +132,23 @@ def mc_poisson_terminal(alg: ConvolutionAlgebra, step_law: Distribution,
 def _max_compound_expectation(law: Distribution, lt: float, floor: float) -> float:
     """E max(floor, V_1, ..., V_N) with N ~ Poisson(lt), V_i ~ law.
 
-    Uses the exact CDF K(x) = exp(-lt (1 - law.cdf(x))) of the running max:
-    the expectation is floor*K(floor) plus the Stieltjes integral of x dK(x)
-    over (floor, oo), handling atoms of the law through jumps of K.
+    The running max has CDF K(x) = exp(-lt (1 - law.cdf(x))) from floor on,
+    so the expectation is floor + int_floor^sup (1 - K(x)) dx.  The quadrature
+    is split at the law's lower end and its atoms, where 1 - K has a kink or
+    a jump.
     """
-    def K(x: float) -> float:
-        return math.exp(-lt * (1.0 - float(law.cdf(x))))
+    def tail(x: float) -> float:
+        return -math.expm1(-lt * (1.0 - float(law.cdf(x))))
 
-    total = floor * K(floor)
-    for loc, _ in law.atoms:
-        if loc > floor:
-            left = float(law.cdf(loc)) - _atom_mass_at(law, loc)
-            total += loc * (K(loc) - math.exp(-lt * (1.0 - left)))
-    if law.density is not None:
-        lo = max(floor, law.support_lower)
-        if law.support_upper > lo:
-            val, _ = integrate.quad(
-                lambda x: x * lt * float(law.density(np.array([x]))[0]) * K(x),
-                lo, law.support_upper, epsabs=QUAD_TOL, limit=400,
-            )
+    hi = law.support_upper
+    cuts = sorted({p for p in (law.support_lower, *(loc for loc, _ in law.atoms))
+                   if floor < p < hi})
+    total = floor
+    for a, b in zip([floor, *cuts], [*cuts, hi]):
+        if b > a:
+            val, _ = integrate.quad(tail, a, b, epsabs=QUAD_TOL, limit=400)
             total += val
     return total
-
-
-def _atom_mass_at(law: Distribution, loc: float) -> float:
-    return float(sum(m for pos, m in law.atoms if pos == loc))
 
 
 def expected_claim_side_max(model: RiskModel, t: float) -> float:
@@ -306,16 +298,23 @@ def _is_alpha_model(model: RiskModel) -> bool:
             and model.premium_law.params["alpha"] == model.algebra.alpha)
 
 
-def net_profit_alpha(model: RiskModel) -> float:
-    """rho = gamma mu_alpha / beta^alpha; ruin analytics need rho < 1."""
+def _alpha_model_scale(model: RiskModel) -> tuple[Distribution, float, float, float]:
+    """(F, gamma, beta^alpha, mu) of an alpha model in the z = u^alpha scale.
+
+    F is the law of the transformed claim U^alpha and mu = E U^alpha its mean,
+    so rho = gamma * mu / beta^alpha.
+    """
     if model.algebra.kind != "alpha_stable":
-        raise ParameterError("net profit condition applies to the alpha-stable algebra")
+        raise ParameterError("the alpha model requires the alpha-stable algebra")
     if not _is_alpha_model(model):
         raise UnsupportedLawError(
             "alpha-model premiums must be the lack-of-memory law lom_alpha of the algebra's order")
     a = model.algebra.alpha
-    gamma = model.premium_law.params["gamma"]
-    mu_a = moment_alpha(model.claim_law, a)
-    if not math.isfinite(mu_a):
-        return math.inf
-    return gamma * mu_a / model.beta**a
+    F = power_transform(model.claim_law, a)
+    return F, model.premium_law.params["gamma"], model.beta**a, moment_alpha(F, 1.0)
+
+
+def net_profit_alpha(model: RiskModel) -> float:
+    """rho = gamma mu_alpha / beta^alpha; ruin analytics need rho < 1."""
+    _, gamma, beta_alpha, mu = _alpha_model_scale(model)
+    return gamma * mu / beta_alpha

@@ -23,9 +23,8 @@ from .measures import (
     QUAD_TOL,
     UnsupportedLawError,
     moment_alpha,
-    power_transform,
 )
-from .risk import RiskModel, _is_alpha_model
+from .risk import RiskModel, _alpha_model_scale, _is_alpha_model
 from .walks import apply_step_batch, chunk_streams
 
 __all__ = [
@@ -108,7 +107,7 @@ def _volterra_grid(F_of_U_alpha: Distribution, gamma: float, beta_alpha: float,
     if gamma <= 0 or beta_alpha <= 0 or z_max <= 0 or steps < 2:
         raise ParameterError("need positive gamma, beta_alpha, z_max and steps >= 2")
     q = gamma / beta_alpha
-    rho = q * mu
+    rho = gamma * mu / beta_alpha
     if not math.isfinite(rho) or rho >= 1.0:
         raise CertainRuinError(f"net profit condition fails: rho = {rho}")
     z = np.linspace(0.0, z_max, steps + 1)
@@ -133,17 +132,13 @@ def volterra_residual(grid: SurvivalGrid, F: Distribution, gamma: float,
     z = grid.z_grid
     h = z[1] - z[0]
     q = gamma / beta_alpha
-    rho = q * moment_alpha(F, 1.0)
+    rho = gamma * moment_alpha(F, 1.0) / beta_alpha
     k = 1.0 - np.asarray(F.cdf(z), dtype=float)
     d = grid.delta_values
-    worst = abs(d[0] - (1.0 - rho))
-    for i in range(1, len(z)):
-        w = k[:i + 1][::-1].copy()
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        integral = h * float(np.dot(w, d[:i + 1]))
-        worst = max(worst, abs(d[i] - (1.0 - rho + q * integral)))
-    return worst
+    # trapezoid sums of k(z_i - x) d(x) over [0, z_i], every i at once
+    trap = np.convolve(k, d)[:len(z)] - 0.5 * k * d[0] - 0.5 * k[0] * d
+    rhs = 1.0 - rho + q * (h * trap)
+    return float(np.max(np.abs(d - rhs)))
 
 
 def alpha_ruin_laplace_check(grid: SurvivalGrid, F: Distribution, gamma: float,
@@ -169,30 +164,21 @@ def alpha_ruin_laplace_check(grid: SurvivalGrid, F: Distribution, gamma: float,
     return out
 
 
-def alpha_ruin(u: float, model: RiskModel, z_max: float | None = None,
-               steps: int = 2000) -> RuinEstimate:
+def alpha_ruin(u: float, model: RiskModel, steps: int = 2000) -> RuinEstimate:
     """Survival/ruin at capital u for the alpha-stable model: delta(u^alpha)."""
-    return alpha_ruin_grid([u], model, z_max, steps)[0]
+    return alpha_ruin_grid([u], model, steps)[0]
 
 
-def alpha_ruin_grid(us, model: RiskModel, z_max: float | None = None,
-                    steps: int = 2000) -> list[RuinEstimate]:
+def alpha_ruin_grid(us, model: RiskModel, steps: int = 2000) -> list[RuinEstimate]:
     """alpha_ruin at each capital in us, in order.
 
-    The claim mean is computed once, and capitals that share a z_max (the
-    default is max(10, 5 u^alpha)) share one Volterra solve, so every
-    estimate equals the one alpha_ruin gives for that capital alone.
+    The Volterra grid for capital u ends at z_max = max(10, 5 u^alpha).  The
+    claim mean is computed once, and capitals that share a z_max share one
+    solve, so every estimate equals the one alpha_ruin gives for that capital
+    alone.
     """
-    if model.algebra.kind != "alpha_stable":
-        raise ParameterError("alpha_ruin requires the alpha-stable algebra")
-    if not _is_alpha_model(model):
-        raise UnsupportedLawError(
-            "alpha-model premiums must be the lack-of-memory law lom_alpha of the algebra's order")
+    F, gamma, beta_alpha, mu = _alpha_model_scale(model)
     a = model.algebra.alpha
-    gamma = model.premium_law.params["gamma"]
-    beta_alpha = model.beta**a
-    F = power_transform(model.claim_law, a)
-    mu = moment_alpha(F, 1.0)
     rho = gamma * mu / beta_alpha
     grids: dict[float, SurvivalGrid] = {}
     out = []
@@ -200,9 +186,7 @@ def alpha_ruin_grid(us, model: RiskModel, z_max: float | None = None,
         if not (math.isfinite(u) and u >= 0):
             raise ParameterError(f"u must be finite and nonnegative, got {u}")
         zu = u**a
-        zm = max(10.0, 5.0 * zu) if z_max is None else z_max
-        if zu > zm:
-            raise ParameterError(f"u^alpha = {zu} exceeds z_max = {zm}")
+        zm = max(10.0, 5.0 * zu)
         if zm not in grids:
             grids[zm] = _volterra_grid(F, gamma, beta_alpha, zm, steps, mu)
         surv = float(grids[zm](zu))
@@ -287,14 +271,14 @@ def max_ruin_integral_residual(F: Distribution, G: Distribution, u: float) -> fl
 def max_ruin_lom(u: float, a: float, F: Distribution) -> RuinEstimate:
     """Max model with the point-mass premium delta_a: survival is 0 or 1.
 
-    Survival is certain iff the largest possible claim is at most u v a.
+    Survival is certain iff the claim supremum is at most u v a.
     """
     if u < 0 or a <= 0:
         raise ParameterError("need u >= 0 and a > 0")
     level = max(u, a)
-    surv = 1.0 if float(F.cdf(level)) >= 1.0 - 1e-15 else 0.0
+    surv = 1.0 if F.support_upper <= level else 0.0
     return RuinEstimate(surv, 1.0 - surv, method="closed_form",
-                        diagnostics={"level": level, "F_at_level": float(F.cdf(level))})
+                        diagnostics={"level": level, "claim_sup": F.support_upper})
 
 
 def has_max_closed_form(model: RiskModel) -> bool:

@@ -126,6 +126,31 @@ def test_safety_summary_shows_the_definition_margin(tmp_path, capsys):
     assert "margin 1.36788 (published formula; margin_definition 1)" in line
 
 
+def test_safety_max_same_for_duplicate_atom_locations(tmp_path):
+    sides = []
+    for name, atoms in (("split", [[0.5, 0.1], [0.5, 0.2], [2, 0.7]]),
+                        ("merged", [[0.5, 0.3], [2, 0.7]])):
+        model = _with(MAX_MODEL, premium_law={"family": "table", "atoms": atoms}, u=0.25)
+        assert cli.main(["--out", str(tmp_path / name), "safety", "--model", model,
+                         "--t", "1.0"]) == 0
+        rep = json.loads((tmp_path / name / "safety.json").read_text())
+        sides.append((rep["margin"], rep["extras"]["premium_side"]))
+    assert sides[0] == sides[1]
+
+
+def test_max_point_premium_against_unbounded_claims_is_ruined(tmp_path):
+    # cdf(40) of lom_alpha(1, 1) rounds to 1, but claims are unbounded
+    model = _with(MAX_MODEL, claim_law={"family": "lom_alpha", "gamma": 1, "alpha": 1},
+                  premium_law={"family": "point", "a": 40})
+    assert _survival(tmp_path, model) == 0.0
+
+
+def test_non_finite_option_message(tmp_path, capsys):
+    assert cli.main(["--out", str(tmp_path), "ruin", "--model", ALPHA_MODEL,
+                     "--u", "nan"]) == 2
+    assert capsys.readouterr().err == "error: --u must be finite, got nan\n"
+
+
 def test_ruin_closed_form_row(tmp_path):
     rc = cli.main(["--out", str(tmp_path), "ruin", "--model", MAX_MODEL,
                    "--u", "0.5"])

@@ -222,6 +222,14 @@ def test_table_rejects_negative_knots():
         me.table([(1.0, 0.5)], [(-0.5, 0.0), (0.0, 0.1), (2.0, 0.5)])
 
 
+def test_table_supremum_is_the_last_point_with_mass():
+    assert GOLDEN_TABLE.support_upper == 3.0
+    # a zero-mass atom and a flat end of the continuous part carry no draws
+    assert me.table([(0.5, 1.0), (5.0, 0.0)]).support_upper == 0.5
+    assert me.table([], [(0.0, 0.0), (1.0, 1.0), (4.0, 1.0)]).support_upper == 1.0
+    assert me.table([(3.0, 0.5)], [(0.0, 0.0), (1.0, 0.5), (2.0, 0.5)]).support_upper == 3.0
+
+
 def test_distribution_from_json():
     d = me.distribution_from_json({"family": "lom_kendall", "c": 1.0, "alpha": 1.0})
     assert d.family == "lom_kendall"

@@ -6,6 +6,7 @@ import pytest
 from gcruin import convolutions as co
 from gcruin import measures as me
 from gcruin import risk as ri
+from gcruin import ruin as ru
 from gcruin import williamson as wi
 
 
@@ -122,6 +123,50 @@ def test_max_margin_nonincreasing_in_lambda_above_premium_support():
     margins = [ri.safety_condition_max(max_model(u=2.0, lam=lam), 1.0).margin
                for lam in (0.25, 0.5, 1.0, 2.0, 4.0)]
     assert all(a >= b - 1e-12 for a, b in zip(margins, margins[1:]))
+
+
+def test_premium_side_max_same_for_duplicate_atom_locations():
+    # one law written with two atoms at 0.5 or with their merged atom
+    split = max_model(premium=me.table([(0.5, 0.1), (0.5, 0.2), (2.0, 0.7)]), u=0.25)
+    merged = max_model(premium=me.table([(0.5, 0.3), (2.0, 0.7)]), u=0.25)
+    for t in (0.5, 1.0, 3.0):
+        assert (ri.expected_premium_side_max(split, t)
+                == ri.expected_premium_side_max(merged, t))
+    # the exact value: u + (0.5 - u)(1 - e^{-lt}) + 1.5 (1 - e^{-0.7 lt}) at lt = 1
+    want = 0.25 + 0.25 * -math.expm1(-1.0) + 1.5 * -math.expm1(-0.7)
+    assert ri.expected_premium_side_max(split, 1.0).value == pytest.approx(want, abs=1e-12)
+
+
+def _piecewise_linear_max_expectation(edges, cdf_right, slopes, lt, floor):
+    """floor + int_floor^sup (1 - exp(-lt (1 - F))) dx for F linear on each
+    [edges[i], edges[i+1]) with F(edges[i]) = cdf_right[i] and slope slopes[i]."""
+    total = floor
+    for a, b, c, s in zip(edges[:-1], edges[1:], cdf_right, slopes):
+        if b <= floor:
+            continue
+        if a < floor:
+            a, c = floor, c + s * (floor - a)
+        g_a, g_b = lt * (1.0 - c), lt * (1.0 - c - s * (b - a))
+        if s == 0.0:
+            total += (b - a) * -math.expm1(-g_a)
+        else:
+            total += (b - a) - (math.exp(-g_b) - math.exp(-g_a)) / (lt * s)
+    return total
+
+
+@pytest.mark.parametrize("u", [0.0, 0.25, 0.75, 1.5, 2.5])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+def test_premium_side_max_of_knotted_table_is_exact(u, lam):
+    # atoms at 0.5 and 2, continuous part with slope 0.25 on (0, 1) and 0.125 on (1, 3)
+    law = me.table([(0.5, 0.3), (2.0, 0.2)], [(0.0, 0.0), (1.0, 0.25), (3.0, 0.5)])
+    edges = [0.0, 0.5, 1.0, 2.0, 3.0]
+    cdf_right = [0.0, 0.425, 0.55, 0.875]
+    slopes = [0.25, 0.25, 0.125, 0.125]
+    for x, c in zip(edges[:-1], cdf_right):
+        assert float(law.cdf(x)) == pytest.approx(c, abs=1e-15)
+    want = _piecewise_linear_max_expectation(edges, cdf_right, slopes, lam, u)
+    got = ri.expected_premium_side_max(max_model(premium=law, u=u, lam=lam), 1.0).value
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +307,22 @@ def test_net_profit_alpha():
     bad = ri.RiskModel(co.alpha_stable(1.0), me.lom_alpha(1.0, 1.0), me.uniform(0, 1))
     with pytest.raises(me.UnsupportedLawError):
         ri.net_profit_alpha(bad)
+
+
+def test_net_profit_alpha_is_the_volterra_rho():
+    # gamma and beta away from powers of two, so any second formula shows
+    for alpha, gamma, beta in ((0.7, 1.0, 2.0), (1.0, 0.3, 3.0), (1.5, 0.7, 1.9)):
+        law = me.lom_alpha(gamma, alpha)
+        model = ri.RiskModel(co.alpha_stable(alpha), law, law, beta=beta)
+        est = ru.alpha_ruin(1.0, model, steps=100)
+        assert ri.net_profit_alpha(model) == est.diagnostics["rho"]
+
+
+def test_risk_model_non_finite_message():
+    for name in ("u", "lam", "beta"):
+        with pytest.raises(me.ParameterError, match=f"^{name} must be finite, got nan$"):
+            ri.RiskModel(co.max_algebra(), me.uniform(0, 1), me.uniform(0, 1),
+                         **{name: math.nan})
 
 
 def test_risk_model_validation():

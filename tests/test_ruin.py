@@ -80,6 +80,20 @@ def test_volterra_resubstitution_residual():
     assert ru.volterra_residual(grid, F_EXP, GAMMA, BETA_ALPHA) <= 1e-6
 
 
+def test_volterra_residual_is_the_trapezoid_rule_at_every_node():
+    grid = ru.alpha_ruin_volterra(F_EXP, GAMMA, BETA_ALPHA, z_max=5.0, steps=40)
+    z, d = grid.z_grid, grid.delta_values
+    h, q = z[1] - z[0], GAMMA / BETA_ALPHA
+    rho = GAMMA * me.moment_alpha(F_EXP, 1.0) / BETA_ALPHA
+    k = 1.0 - F_EXP.cdf(z)
+    worst = abs(d[0] - (1.0 - rho))
+    for i in range(1, len(z)):
+        terms = [k[i - j] * d[j] for j in range(i + 1)]
+        integral = h * (sum(terms) - 0.5 * terms[0] - 0.5 * terms[-1])
+        worst = max(worst, abs(d[i] - (1.0 - rho + q * integral)))
+    assert ru.volterra_residual(grid, F_EXP, GAMMA, BETA_ALPHA) == pytest.approx(worst, abs=1e-15)
+
+
 def test_laplace_transform_identity():
     grid = ru.alpha_ruin_volterra(F_EXP, GAMMA, BETA_ALPHA, z_max=40.0, steps=8000)
     res = ru.alpha_ruin_laplace_check(grid, F_EXP, GAMMA, BETA_ALPHA, [0.5, 1.0, 2.0])
@@ -99,6 +113,14 @@ def test_alpha_ruin_entry_point():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(me.ParameterError):
             ru.alpha_ruin(bad, alpha_model())
+
+
+def test_alpha_ruin_takes_no_z_max():
+    # the grid end is always max(10, 5 u^alpha); only alpha_ruin_volterra takes z_max
+    with pytest.raises(TypeError):
+        ru.alpha_ruin(1.0, alpha_model(), z_max=20.0)
+    with pytest.raises(TypeError):
+        ru.alpha_ruin_grid([1.0], alpha_model(), z_max=20.0)
 
 
 def mismatched_alpha_model(u=2.0):
@@ -183,6 +205,18 @@ def test_max_ruin_lom_classification():
     assert ru.max_ruin_lom(1.5, 0.5, me.uniform(0, 1)).survival == 1.0
     with pytest.raises(me.ParameterError):
         ru.max_ruin_lom(-1.0, 1.0, me.uniform(0, 1))
+
+
+def test_max_ruin_lom_decides_by_the_claim_supremum():
+    # unbounded claims ruin at every level, even where the cdf rounds to 1
+    assert float(me.lom_alpha(1.0, 1.0).cdf(40.0)) == 1.0
+    est = ru.max_ruin_lom(0.0, 40.0, me.lom_alpha(1.0, 1.0))
+    assert est.survival == 0.0 and est.diagnostics["claim_sup"] == math.inf
+    # no claim exceeds 2, though the table's total mass is 1 - 5e-11
+    est = ru.max_ruin_lom(0.0, 2.0, me.table([(0.5, 0.5), (2.0, 0.5 - 5e-11)]))
+    assert est.survival == 1.0 and est.diagnostics["claim_sup"] == 2.0
+    # a zero-mass atom at 5 is no claim
+    assert ru.max_ruin_lom(0.0, 2.0, me.table([(0.5, 1.0), (5.0, 0.0)])).survival == 1.0
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.5])
