@@ -99,6 +99,23 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             w.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in row])
 
 
+def _json_safe(obj):
+    """obj with every non-finite float replaced by its string "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
+def _write_json(path: Path, obj) -> None:
+    """Write obj as strict JSON: non-finite floats become strings, other
+    non-JSON values their str()."""
+    path.write_text(json.dumps(_json_safe(obj), indent=2, allow_nan=False, default=str) + "\n")
+
+
 def _write_meta(out: Path, command: str, args_echo: dict, seed: int,
                 elapsed: float, extra: dict | None = None) -> None:
     meta = {
@@ -110,7 +127,7 @@ def _write_meta(out: Path, command: str, args_echo: dict, seed: int,
     }
     if extra:
         meta.update(extra)
-    (out / f"{command}_meta.json").write_text(json.dumps(meta, indent=2, default=str) + "\n")
+    _write_json(out / f"{command}_meta.json", meta)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +191,7 @@ def _cmd_safety(args, out: Path) -> dict:
             f"safety conditions are implemented for the max and kendall algebras, "
             f"not {model.algebra.kind!r}")
     payload = asdict(report)
-    (out / "safety.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json(out / "safety.json", payload)
     definition = report.extras.get("margin_definition")
     shown = ("" if definition is None
              else f" (published formula; margin_definition {definition:.6g})")
@@ -241,7 +258,7 @@ def _cmd_ruin(args, out: Path) -> dict:
         diags.append(est.diagnostics)
     _write_csv(out / "ruin.csv", ["u", "survival", "ruin", "ci_low", "ci_high", "method"], rows)
     summary = {"method": method, "rows": len(rows), "diagnostics": diags}
-    (out / "ruin_summary.json").write_text(json.dumps(summary, indent=2, default=str) + "\n")
+    _write_json(out / "ruin_summary.json", summary)
     u0, s0 = rows[0][0], rows[0][1]
     print(f"ruin: method {method}, survival({u0:g}) = {s0:.6g} ({len(rows)} rows)")
     return summary

@@ -22,6 +22,7 @@ from .measures import (
     ParameterError,
     _as_array,
     _check_finite,
+    _invert_cdf,
     point_mass,
 )
 
@@ -209,13 +210,13 @@ def convolve_points(alg: ConvolutionAlgebra, x: float, y: float) -> Distribution
     _check_finite(x=x, y=y)
     if x < 0 or y < 0:
         raise ParameterError("points must be nonnegative")
-    if y == 0.0:
-        return point_mass(x)
-    if x == 0.0:
-        return point_mass(y)
     k = alg.kind
-    if k == "classical":
-        return point_mass(x + y)
+    if x == 0.0 or y == 0.0 or k in ("classical", "alpha_stable", "max"):
+        return point_mass(float(_pair_quantile(alg, x, y, 0.5)))
+
+    def quantile(q):
+        return _pair_quantile(alg, x, y, q)
+
     if k == "symmetric":
         locs = [abs(x - y), x + y]
 
@@ -223,27 +224,79 @@ def convolve_points(alg: ConvolutionAlgebra, x: float, y: float) -> Distribution
             z = _as_array(z)
             return 0.5 * (z >= locs[0]) + 0.5 * (z >= locs[1])
 
-        def quantile(q):
-            q = _as_array(q)
-            return np.where(q <= 0.5, locs[0], locs[1])
-
         return Distribution(((locs[0], 0.5), (locs[1], 0.5)), cdf, quantile,
                             None, locs[1], locs[0], family="two_point")
-    if k == "alpha_stable":
-        a = alg.alpha
-        return point_mass((x**a + y**a) ** (1.0 / a))
-    if k == "max":
-        return point_mass(max(x, y))
     if k == "kendall":
-        return _kendall_point_convolution(alg.alpha, x, y)
+        return _kendall_point_convolution(alg.alpha, x, y, quantile)
     if k == "kingman":
-        return _kingman_point_convolution(alg.s, x, y)
+        return _kingman_point_convolution(alg.s, x, y, quantile)
     if k == "kendall_type":
-        return _kendall_type_point_convolution(alg, x, y)
+        return _kendall_type_point_convolution(alg, x, y, quantile)
     raise ParameterError(f"unknown algebra kind {k!r}")
 
 
-def _kendall_point_convolution(alpha: float, x: float, y: float) -> Distribution:
+_LIBM_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def _libm_pow(base, exponent) -> np.ndarray:
+    """base ** exponent element by element through the C library's pow.
+
+    numpy's vectorized power differs from it in the last bit on some inputs;
+    the pair laws' weights and the alpha-stable sum keep the values of
+    Python's float ``**``.
+    """
+    return np.asarray(_LIBM_POW(base, exponent), dtype=float)
+
+
+def _pair_quantile(alg: ConvolutionAlgebra, x, y, q) -> np.ndarray:
+    """Quantile at q of delta_x <> delta_y, element-wise over broadcast x, y and q.
+
+    A pair with x = 0 or y = 0 is the point mass at the other point.  Other
+    pairs use the algebra's closed form; Kendall-type pairs share one
+    bisection of their CDFs, each bracketed from below by its M = max(x, y).
+    """
+    x, y, q = np.broadcast_arrays(_as_array(x), _as_array(y), _as_array(q))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ParameterError("points must be finite")
+    if np.any(x < 0) or np.any(y < 0):
+        raise ParameterError("points must be nonnegative")
+    out = np.where(y == 0.0, x, y)
+    on = (x != 0.0) & (y != 0.0)
+    if not np.any(on):
+        return out
+    x, y, q = x[on], y[on], q[on]
+    k = alg.kind
+    big = np.maximum(x, y)
+    r = np.minimum(x, y) / big
+    if k == "classical":
+        val = x + y
+    elif k == "symmetric":
+        val = np.where(q <= 0.5, np.abs(x - y), x + y)
+    elif k == "alpha_stable":
+        a = alg.alpha
+        val = _libm_pow(_libm_pow(x, a) + _libm_pow(y, a), 1.0 / a)
+    elif k == "max":
+        val = big
+    elif k == "kendall":
+        # atom at M of mass 1 - w below the Pareto(2 alpha) tail dilated by M
+        w = _libm_pow(r, alg.alpha)
+        tail = np.minimum(np.maximum((1.0 - q) / w, 1e-300), 1.0)
+        val = np.where(q <= 1.0 - w, big, big * np.power(tail, -1.0 / (2.0 * alg.alpha)))
+    elif k == "kingman":
+        # sqrt(x^2 + y^2 + 2xy theta), theta = 2B - 1, B ~ Beta(s + 1/2, s + 1/2)
+        a = alg.s + 0.5
+        th = 2.0 * special.betaincinv(a, a, q) - 1.0
+        val = np.sqrt(np.maximum((x * x + y * y) + (2.0 * x * y) * th, 0.0))
+    elif k == "kendall_type":
+        _, cdf, _ = _kendall_type_pair_parts(alg, big, r)
+        val = _invert_cdf(cdf, q, big, math.inf)
+    else:
+        raise ParameterError(f"unknown algebra kind {k!r}")
+    out[on] = val
+    return out
+
+
+def _kendall_point_convolution(alpha: float, x: float, y: float, quantile) -> Distribution:
     """delta_x <> delta_y = (1 - r^a) delta_M + r^a * (Pareto tail dilated by M)."""
     m_, M = min(x, y), max(x, y)
     r = m_ / M
@@ -255,11 +308,6 @@ def _kendall_point_convolution(alpha: float, x: float, y: float) -> Distribution
         zs = np.maximum(z, M)
         return np.where(z < M, 0.0, 1.0 - w * np.power(M / zs, a2))
 
-    def quantile(q):
-        q = _as_array(q)
-        tail = np.minimum(np.maximum((1.0 - q) / w, 1e-300), 1.0)
-        return np.where(q <= 1.0 - w, M, M * np.power(tail, -1.0 / a2))
-
     def density(z):
         z = _as_array(z)
         zs = np.maximum(z, M)
@@ -270,12 +318,12 @@ def _kendall_point_convolution(alpha: float, x: float, y: float) -> Distribution
                         family="kendall_pair", params={"M": M, "w": w, "alpha": alpha})
 
 
-def _kingman_point_convolution(s: float, x: float, y: float) -> Distribution:
+def _kingman_point_convolution(s: float, x: float, y: float, quantile) -> Distribution:
     """Law of sqrt(x^2 + y^2 + 2xy theta) with theta = 2B - 1, B ~ Beta(s+1/2, s+1/2).
 
-    The Beta CDF and quantile are the ufuncs ``special.betainc`` and
-    ``special.betaincinv``.  They give the same values as a frozen
-    ``stats.beta(a, a)``, without the cost of building one per pair.
+    The Beta CDF and quantile (in ``_pair_quantile``) are the ufuncs
+    ``special.betainc`` and ``special.betaincinv``.  They give the same values
+    as a frozen ``stats.beta(a, a)``, without the cost of building one per pair.
     """
     a = s + 0.5
     lo, hi = abs(x - y), x + y
@@ -287,10 +335,6 @@ def _kingman_point_convolution(s: float, x: float, y: float) -> Distribution:
     def cdf(z):
         z = _as_array(z)
         return special.betainc(a, a, (theta_of_z(np.maximum(z, 0.0)) + 1.0) / 2.0)
-
-    def quantile(q):
-        th = 2.0 * special.betaincinv(a, a, _as_array(q)) - 1.0
-        return np.sqrt(np.maximum(xx + yy * th, 0.0))
 
     def density(z):
         # f_Z(z) = f_B((theta(z)+1)/2) * dB/dz with dB/dz = z / (2xy)
@@ -352,30 +396,39 @@ def _kendall_type_lambda2(alg: ConvolutionAlgebra) -> Distribution:
                         family="kendall_type_l2", params={"p": p})
 
 
-def _kendall_type_point_convolution(alg: ConvolutionAlgebra, x: float, y: float) -> Distribution:
-    m_, M = min(x, y), max(x, y)
-    r = m_ / M
+def _kendall_type_pair_parts(alg: ConvolutionAlgebra, M, r):
+    """Atom mass phi(r), CDF and density of the Kendall-type pair law
+    phi(r) delta_M + r^p L1(./M) + (c+1)(r - r^p) L2(./M).
+
+    M = max(x, y) and r = min(x, y) / M are numbers or arrays of one shape.
+    """
     c, p = alg.c, alg.p
-    phi_r = 1.0 - (c + 1.0) * r + c * r**p
-    w1 = r**p
-    w2 = (c + 1.0) * (r - r**p)
+    w1 = _libm_pow(r, p)
+    phi_r = 1.0 - (c + 1.0) * r + c * w1
+    w2 = (c + 1.0) * (r - w1)
     lam1 = _kendall_type_lambda1(alg)
     lam2 = _kendall_type_lambda2(alg)
 
     def cdf(z):
-        z = _as_array(z)
-        zr = z / M
+        zr = _as_array(z) / M
         return phi_r * (zr >= 1.0) + w1 * lam1.cdf_fn(zr) + w2 * lam2.cdf_fn(zr)
 
     def density(z):
-        z = _as_array(z)
-        zr = z / M
+        zr = _as_array(z) / M
         return (w1 * lam1.density(zr) + w2 * lam2.density(zr)) / M
 
-    atoms = ((M, phi_r),) if phi_r > 0 else ()
-    return Distribution(atoms, cdf, None, density, math.inf, M,
+    return phi_r, cdf, density
+
+
+def _kendall_type_point_convolution(alg: ConvolutionAlgebra, x: float, y: float,
+                                    quantile) -> Distribution:
+    M = max(x, y)
+    r = min(x, y) / M
+    phi_r, cdf, density = _kendall_type_pair_parts(alg, M, r)
+    atoms = ((M, float(phi_r)),) if phi_r > 0 else ()
+    return Distribution(atoms, cdf, quantile, density, math.inf, M,
                         family="kendall_type_pair",
-                        params={"M": M, "r": r, "p": p, "c": c})
+                        params={"M": M, "r": r, "p": alg.p, "c": alg.c})
 
 
 # ---------------------------------------------------------------------------

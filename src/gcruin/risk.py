@@ -155,8 +155,6 @@ def expected_claim_side_max(model: RiskModel, t: float) -> float:
     """E X_t for the max-algebra claim walk at a Poisson(lam * t) time."""
     if model.algebra.kind != "max":
         raise ParameterError("claim-side expectation requires the max algebra")
-    if model.claim_law.atoms:
-        raise UnsupportedLawError("max claim-side expectation requires an atomless claim law")
     if t < 0:
         raise ParameterError("t must be nonnegative")
     return _max_compound_expectation(model.claim_law, model.lam * t, 0.0)

@@ -4,8 +4,9 @@ A walk is the Markov chain X_{k+1} ~ delta_{X_k} <> mu.  Four algebras have
 exact pathwise recursions (classical, alpha-stable, max, Kendall via its
 uniform/Pareto catalyzer pair); the symmetric, Kingman and Kendall-type
 algebras use exact mixture representations of the point-mass convolution.
-A slow "generic" sampler that draws directly from convolve_points objects
-is kept as an independent cross-check of the specialized recursions.
+A "generic" sampler that inverts the exact point-mass convolution laws
+(the quantile of convolve_points) is kept as an independent cross-check of
+the specialized recursions.
 
 Determinism contract: single paths draw their randomness from a per-step
 stream seeded by (seed, step index), so a path restarted from (X_k, seed)
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .convolutions import ConvolutionAlgebra, convolve_points
+from .convolutions import ConvolutionAlgebra, _pair_quantile
 from .convolutions import _kendall_type_lambda1, _kendall_type_lambda2
-from .measures import Distribution, ParameterError, _invert_cdf
+from .measures import Distribution, ParameterError, _check_finite, _invert_cdf
 
 __all__ = [
     "CHUNK",
@@ -168,29 +169,27 @@ def simulate_terminal(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
 
 def simulate_terminal_generic(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
                               paths: int, start: float = 0.0, seed: int = 0) -> np.ndarray:
-    """Terminal states via inverse-CDF sampling of convolve_points objects.
+    """Terminal states via inverse-CDF sampling of the exact pair laws.
 
-    Deliberately independent of apply_step_batch: each move builds the exact
-    law delta_x <> delta_u and samples it through its quantile function.
-    That costs one closed-form quantile for Kendall and Kingman (Beta
-    quantile by ``special.betaincinv``; the fast path draws ``rng.beta``),
-    and one bisection of the pair CDF for Kendall-type, which stops at its
-    fixed point after about 55 CDF evaluations.  It is a per-path Python
-    loop: keep ``paths * n`` small (hundreds to a few thousand moves).
+    Deliberately independent of apply_step_batch: each move draws X' from
+    delta_X <> delta_u through the pair quantile that
+    ``convolve_points(alg, X, u).quantile`` uses, for all paths at once.
+    Path i takes its 2n uniforms from default_rng([seed, 7, i]): move k
+    draws the step u from uniform 2k and X' from uniform 2k + 1, both kept
+    in [1e-16, 1 - 1e-16] as in Distribution.sample.
     """
     if n < 0 or paths < 1:
         raise ParameterError("need n >= 0 and paths >= 1")
-    out = np.empty(paths)
-    for i in range(paths):
-        rng = np.random.default_rng([seed, 7, i])
-        x = float(start)
-        for _ in range(n):
-            u = float(step_law.sample(1, rng)[0])
-            law = convolve_points(alg, x, u)
-            q = min(max(rng.random(), 1e-16), 1.0 - 1e-16)
-            x = float(law.quantile(q))
-        out[i] = x
-    return out
+    _check_finite(start=start)
+    if start < 0:
+        raise ParameterError("start must be nonnegative")
+    draws = np.array([np.random.default_rng([seed, 7, i]).random(2 * n) for i in range(paths)])
+    draws = np.clip(draws, 1e-16, 1.0 - 1e-16)
+    x = np.full(paths, float(start))
+    for k in range(n):
+        u = step_law.quantile(draws[:, 2 * k])
+        x = _pair_quantile(alg, x, u, draws[:, 2 * k + 1])
+    return x
 
 
 def simulate_generic_vs_specialized(alg: ConvolutionAlgebra, step_law: Distribution,

@@ -164,6 +164,29 @@ def test_ruin_closed_form_row(tmp_path):
     assert summary["method"] == "closed" and summary["rows"] == 1
 
 
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token} in {path.name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_ruin_files_are_strict_json_with_infinite_diagnostics(tmp_path):
+    # unbounded claims against a point-mass premium: claim_sup is infinite
+    model = _with(MAX_MODEL, claim_law={"family": "lom_alpha", "gamma": 1.0, "alpha": 1.0},
+                  premium_law={"family": "point", "a": 1.0})
+    assert cli.main(["--out", str(tmp_path), "ruin", "--model", model, "--u", "0.5"]) == 0
+    summary = _strict_json(tmp_path / "ruin_summary.json")
+    meta = _strict_json(tmp_path / "ruin_meta.json")
+    assert summary["diagnostics"][0]["claim_sup"] == "inf"
+    assert meta["result"]["diagnostics"][0]["claim_sup"] == "inf"
+
+
+def test_json_files_write_non_finite_floats_as_strings(tmp_path):
+    path = tmp_path / "x.json"
+    cli._write_json(path, {"a": [math.inf, -math.inf, math.nan, 1.5], "b": (2, "inf")})
+    assert _strict_json(path) == {"a": ["inf", "-inf", "nan", 1.5], "b": [2, "inf"]}
+
+
 def test_ruin_u_grid_volterra(tmp_path):
     rc = cli.main(["--out", str(tmp_path), "ruin", "--model", ALPHA_MODEL,
                    "--u-grid", "0:2:3", "--steps", "1000"])

@@ -2,9 +2,11 @@
 estimators and CLI data files, bit for bit.
 
 The sampler and pair-law values were captured before the samplers' CDF
-evaluation and bisection were sped up; the Monte Carlo values before the
-chunked estimators were merged into one stream iterator and one paired-walk
-kernel.  Any change to them is a change of results, not of speed.  Floats are
+evaluation and bisection were sped up, and the generic sampler's runs over
+all seven algebras, the scalar pair quantiles and the safety and summary
+files before that sampler moved all paths at once; the Monte Carlo values
+before the chunked estimators were merged into one stream iterator and one
+paired-walk kernel.  Any change to them is a change of results, not of speed.  Floats are
 stored as ``float.hex`` strings and arrays as the sha256 of their float64
 bytes, so the comparison is exact.
 """
@@ -217,6 +219,9 @@ CLI_SHA256 = {
     "ruin_mc_t": "9eb6d72be6f0d37028cd0bd08d6de249bb14dc15e39c430594be4a8407f5bcac",
     "ruin_max": "25786c93fd54c08b00afd9b53cc2de79e4e3324defa5de1973960f562fcea528",
     "ruin_max_ode": "be74da06fcc3dbcd787706db38a6ec2fbe19a806d079a7e7e28011a5091c769f",
+    "ruin_max_summary": "058f36f61cc0dcf9b2d8d71ee3a5c54feda94f1111d7645a3c427ec293abc09f",
+    "safety_kendall": "98a37b5a5471410288c63de2294abb9fb7be6217bafde8ac30b3a7ce93254c54",
+    "safety_max": "e9599be475e4aab1319f2023c19b2e0d521583df8c95720be6a4331fe97a2800",
 }
 
 ALPHA_MODEL = json.dumps({
@@ -246,6 +251,98 @@ def test_generic_sampler_kingman():
 def test_generic_sampler_kendall_type():
     got = wa.simulate_terminal_generic(co.kendall_type(3.0), STEP, 3, 20, seed=12)
     assert hexes(got) == GENERIC_KENDALL_TYPE
+
+
+#: the other five algebras and a Kendall-type walk from start 0.5 whose step
+#: law has an atom at 0, so trivial and non-trivial pairs meet in one step;
+#: (algebra, step law, n, paths, start, seed) and the terminal states
+GENERIC_RUNS = {
+    "classical": ((co.classical(), STEP, 3, 20, 0.0, 21), (
+        "0x1.716d5d1889e4cp+0", "0x1.1c5b8504e64b8p+1", "0x1.abdbd11cfa6e7p+0",
+        "0x1.de3592bf11c35p-1", "0x1.9763d7e6f58f9p+0", "0x1.2e6ba456bfb69p+0",
+        "0x1.d563dc8d908bep+0", "0x1.7b367273ad8f2p+0", "0x1.212808a93caccp+1",
+        "0x1.278afb2636070p+0", "0x1.de79488eee2a8p+0", "0x1.407cb4f2f2e50p+1",
+        "0x1.33b13e3e6e7ffp+0", "0x1.2527607bed17ap+0", "0x1.aab77634e164ep+0",
+        "0x1.24f40d75a401fp+1", "0x1.442324d0b84acp+0", "0x1.a49941ba8af19p-1",
+        "0x1.1987a86b678fbp-1", "0x1.ebbbbe822c99ep-1",
+    )),
+    "symmetric": ((co.symmetric(), STEP, 3, 20, 0.0, 22), (
+        "0x1.10e6174b34208p-4", "0x1.c2de3c9a71574p-1", "0x1.6a357e2780ca2p+0",
+        "0x1.b1c7174a573b2p+0", "0x1.d8070d1a36192p-2", "0x1.120aa1759ad96p-2",
+        "0x1.398de6b37c827p+0", "0x1.ccf8ae0fe5f3ap+0", "0x1.390e9b4c4871ep+0",
+        "0x1.3cdf747429c72p-1", "0x1.7672b8e365f84p-3", "0x1.39194907b6b77p-1",
+        "0x1.0e459671023e4p-2", "0x1.7d09222899a2dp-1", "0x1.4f388637f33b8p+0",
+        "0x1.0b8933776f613p-1", "0x1.255c8dce3c733p+0", "0x1.77ebae067586ep-2",
+        "0x1.dc620942d65d0p-4", "0x1.ea381470eadfcp-1",
+    )),
+    "alpha_stable": ((co.alpha_stable(1.5), STEP, 3, 20, 0.0, 23), (
+        "0x1.4db3684f155a6p+0", "0x1.85e871b76e107p+0", "0x1.ae0b3e0dc35a0p-1",
+        "0x1.c6ee855f0e7dfp-1", "0x1.f13006a62b96dp-1", "0x1.d209c94484dadp-1",
+        "0x1.069a5e6da93d0p-1", "0x1.542fdcda67a7ap+0", "0x1.cd7a4ac5892f5p-1",
+        "0x1.3336e68505c2dp-1", "0x1.1ee3f680abbd4p+0", "0x1.356a9f5450b4cp+0",
+        "0x1.51ca9a6bde232p+0", "0x1.dd5872ad9e351p-2", "0x1.fb04b4c3658d7p-1",
+        "0x1.1c10e96c08cacp+0", "0x1.8fb14fc3b1f1ep-1", "0x1.0e7ef230da776p+0",
+        "0x1.1d17ed4cb8b50p+0", "0x1.4a1b616a1cb8bp+0",
+    )),
+    "max": ((co.max_algebra(), STEP, 3, 20, 0.0, 24), (
+        "0x1.583aaed58be17p-1", "0x1.b4117babee674p-2", "0x1.4038b4ba15f86p-1",
+        "0x1.215dcb694624cp-1", "0x1.279c5f1ac0e7ep-1", "0x1.6e2a5e0c753f6p-1",
+        "0x1.cafdcc9432b82p-1", "0x1.f42fa6ec446a0p-1", "0x1.a659c4681134bp-1",
+        "0x1.d4744b91f10bdp-1", "0x1.6547603e614dfp-1", "0x1.897c893a9e4c6p-1",
+        "0x1.b5473496ce43dp-1", "0x1.822c7b4c536d0p-2", "0x1.4089ff307f395p-1",
+        "0x1.8cd7ba9dfc16ap-1", "0x1.b909667f42fb9p-1", "0x1.7a054004defc2p-1",
+        "0x1.a6286c7d9ce77p-1", "0x1.cb165eef83496p-1",
+    )),
+    "kendall": ((co.kendall(1.7), STEP, 3, 20, 0.0, 25), (
+        "0x1.b7d0c2898b874p+0", "0x1.cb8dd3b31f40fp-1", "0x1.91373fd7b20a1p-1",
+        "0x1.ad04f97bfb799p-1", "0x1.e2c4aea0fcf24p-1", "0x1.90622f0efa918p-1",
+        "0x1.ceb75e5126744p-1", "0x1.820d635df4785p+0", "0x1.c4b8fe8fb2709p-1",
+        "0x1.97a0456f0c64bp-1", "0x1.7736e1731b812p-1", "0x1.0d342970db50ap+0",
+        "0x1.d15bde98661fep-1", "0x1.5d11a03090f92p-2", "0x1.0a8fd0ead5dd6p+0",
+        "0x1.f21b8a3c10ef1p-2", "0x1.9721c282a2ac1p-1", "0x1.32d869452e0d8p-1",
+        "0x1.12bd46c4e6b72p+0", "0x1.fdc87be1b25e5p-1",
+    )),
+    "kendall_type_table": ((co.kendall_type(3.0),
+                            me.table([(0.0, 0.4)], [(0.0, 0.0), (2.0, 0.6)]), 3, 20, 0.5, 26), (
+        "0x1.10e9569a4c5ebp+2", "0x1.c3799ebaf5810p+1", "0x1.3fd8f73d7ccb8p+1",
+        "0x1.bf84515feb77ep+1", "0x1.05827255e2544p+1", "0x1.ff683e9799228p+0",
+        "0x1.0be15c22888d0p+2", "0x1.6f8f569e9201bp+1", "0x1.0000000000000p-1",
+        "0x1.8af024d924eccp+2", "0x1.c29aa0174f582p+2", "0x1.0a9e13d597214p+1",
+        "0x1.5e86660dfc93ep+1", "0x1.0000000000000p-1", "0x1.d54463a0b9f45p+0",
+        "0x1.0c069aaf432f0p+0", "0x1.59cd8aace49d2p+0", "0x1.7c5d207e75690p+1",
+        "0x1.71caf4564fdbfp+0", "0x1.aaffaeeecbaaep+0",
+    )),
+}
+
+#: quantiles at PAIR_Q of delta_0.6 <> delta_1.5
+PAIR_QUANTILE = {
+    "kendall": (co.kendall(1.7), (
+        "0x1.8000000000000p+0", "0x1.8000000000000p+0", "0x1.8000000000000p+0",
+        "0x1.8000000000000p+0", "0x1.8000000000000p+0", "0x1.8000000000000p+0",
+        "0x1.d681e93ddc448p+1", "0x1.a4e6afd4923bep+8", "0x1.6d1f2a1d5b6abp+15",
+    )),
+    "kendall_type": (co.kendall_type(3.0), (
+        "0x1.8000000000000p+0", "0x1.8000000000000p+0", "0x1.8000000000000p+0",
+        "0x1.8000000000000p+0", "0x1.92cf83b648dd7p+0", "0x1.05a18d942a9b5p+1",
+        "0x1.0bba553ee6714p+3", "0x1.95f30bca8090ap+14", "0x1.2971f372f95b8p+26",
+    )),
+    "alpha_stable": (co.alpha_stable(1.5), ("0x1.be4d0c33e7984p+0",) * 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_RUNS))
+def test_generic_sampler_runs(name):
+    (alg, law, n, paths, start, seed), want = GENERIC_RUNS[name]
+    got = wa.simulate_terminal_generic(alg, law, n, paths, start=start, seed=seed)
+    assert hexes(got) == want
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_QUANTILE))
+def test_pair_quantile(name):
+    alg, want = PAIR_QUANTILE[name]
+    law = co.convolve_points(alg, 0.6, 1.5)
+    assert hexes(law.quantile(PAIR_Q)) == want
+    assert hexes([law.quantile(float(q)) for q in PAIR_Q]) == want
 
 
 def test_fast_sampler_kendall_type():
@@ -598,6 +695,10 @@ CLI_RUNS = {
     "ruin_max": (["ruin", "--model", MAX_MODEL, "--u", "0.5"], "ruin.csv"),
     "ruin_max_ode": (["ruin", "--model", MAX_MODEL, "--method", "ode",
                       "--u-grid", "0:1:5"], "ruin.csv"),
+    "ruin_max_summary": (["ruin", "--model", MAX_MODEL, "--u", "0.5"], "ruin_summary.json"),
+    # the README safety examples
+    "safety_kendall": (["safety", "--model", KENDALL_MODEL, "--t", "1"], "safety.json"),
+    "safety_max": (["safety", "--model", MAX_MODEL, "--t", "1"], "safety.json"),
 }
 
 

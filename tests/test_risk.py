@@ -62,9 +62,31 @@ def test_expected_claim_side_max_vs_mc():
     assert abs(val - mc.mean()) <= 3.0 * se
 
 
-def test_expected_claim_side_max_rejects_atoms():
-    with pytest.raises(me.UnsupportedLawError):
-        ri.expected_claim_side_max(max_model(claim=me.point_mass(1.0)), 1.0)
+def test_expected_claim_side_max_point_mass_closed_form():
+    # delta_a claims: the running maximum is a once a claim has arrived
+    for a in (0.3, 1.0, 2.5):
+        for lam in (0.5, 1.0, 3.0):
+            for t in (0.4, 1.0, 2.0):
+                want = a * -math.expm1(-lam * t)
+                got = ri.expected_claim_side_max(max_model(claim=me.point_mass(a), lam=lam), t)
+                assert got == pytest.approx(want, abs=1e-12), (a, lam, t)
+
+
+def test_claim_side_max_same_for_duplicate_atom_locations():
+    split = me.table([(0.5, 0.1), (0.5, 0.2), (2.0, 0.2)], [(0.0, 0.0), (1.0, 0.25), (3.0, 0.5)])
+    merged = me.table([(0.5, 0.3), (2.0, 0.2)], [(0.0, 0.0), (1.0, 0.25), (3.0, 0.5)])
+    for t in (0.5, 1.0, 3.0):
+        # the split CDF adds 0.1 + 0.2, which is not 0.3 in floating point
+        assert (ri.expected_claim_side_max(max_model(claim=split), t)
+                == pytest.approx(ri.expected_claim_side_max(max_model(claim=merged), t),
+                                 abs=1e-12))
+
+
+def test_safety_condition_max_accepts_the_lack_of_memory_law():
+    # lom_max(1) is the point mass at 1: claim side 1 - e^{-lt}
+    model = max_model(claim=me.lom_max(1.0), premium=me.uniform(0, 2), u=0.5)
+    rep = ri.safety_condition_max(model, 1.0)
+    assert rep.extras["claim_side"] == pytest.approx(-math.expm1(-1.0), abs=1e-12)
 
 
 def test_expected_premium_side_max_point_mass_closed_form():
@@ -166,6 +188,15 @@ def test_premium_side_max_of_knotted_table_is_exact(u, lam):
         assert float(law.cdf(x)) == pytest.approx(c, abs=1e-15)
     want = _piecewise_linear_max_expectation(edges, cdf_right, slopes, lam, u)
     got = ri.expected_premium_side_max(max_model(premium=law, u=u, lam=lam), 1.0).value
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+def test_claim_side_max_of_knotted_table_is_exact(lam):
+    law = me.table([(0.5, 0.3), (2.0, 0.2)], [(0.0, 0.0), (1.0, 0.25), (3.0, 0.5)])
+    want = _piecewise_linear_max_expectation([0.0, 0.5, 1.0, 2.0, 3.0], [0.0, 0.425, 0.55, 0.875],
+                                             [0.25, 0.25, 0.125, 0.125], lam, 0.0)
+    got = ri.expected_claim_side_max(max_model(claim=law, lam=lam), 1.0)
     assert got == pytest.approx(want, abs=1e-12)
 
 

@@ -140,3 +140,24 @@ def test_walk_input_validation():
         wa.simulate(co.kendall(1.0), me.uniform(0, 1), 2, start=-1.0)
     with pytest.raises(me.ParameterError):
         co.kingman(-0.6)
+
+
+@pytest.mark.parametrize("alg", [co.kingman(0.5), co.kendall_type(3.0), co.kendall(1.7)],
+                         ids=lambda a: a.kind)
+def test_generic_sampler_path_prefix_does_not_depend_on_path_count(alg):
+    # path i draws from its own stream, so the first 5 of 37 paths are the 5-path run
+    law = me.table([(0.0, 0.4)], [(0.0, 0.0), (2.0, 0.6)])
+    few = wa.simulate_terminal_generic(alg, law, 3, 5, start=0.5, seed=17)
+    many = wa.simulate_terminal_generic(alg, law, 3, 37, start=0.5, seed=17)
+    np.testing.assert_array_equal(few, many[:5])
+
+
+def test_generic_sampler_zero_moves_returns_start():
+    got = wa.simulate_terminal_generic(co.kendall(1.0), me.uniform(0, 1), 0, 4, start=0.75)
+    np.testing.assert_array_equal(got, np.full(4, 0.75))
+
+
+@pytest.mark.parametrize("start", [-1.0, math.nan, math.inf])
+def test_generic_sampler_rejects_bad_start(start):
+    with pytest.raises(me.ParameterError):
+        wa.simulate_terminal_generic(co.kendall(1.0), me.uniform(0, 1), 2, 3, start=start)
