@@ -21,6 +21,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .convolutions import algebra_from_json, char_fn, convolve_points, dilate
@@ -124,6 +125,12 @@ def _write_meta(out: Path, command: str, args_echo: dict, seed: int,
         "seed": seed,
         "version": __version__,
         "elapsed_seconds": round(elapsed, 6),
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        # the generator behind every seeded stream (np.random.default_rng)
+        "bit_generator": type(np.random.default_rng(0).bit_generator).__name__,
+        # bumped when a key above changes meaning or goes away
+        "schema_version": 1,
     }
     if extra:
         meta.update(extra)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .measures import (
     Distribution,
@@ -337,6 +337,8 @@ def _kingman_point_convolution(s: float, x: float, y: float, quantile) -> Distri
         return special.betainc(a, a, (theta_of_z(np.maximum(z, 0.0)) + 1.0) / 2.0)
 
     def density(z):
+        from scipy import stats
+
         # f_Z(z) = f_B((theta(z)+1)/2) * dB/dz with dB/dz = z / (2xy)
         z = _as_array(z)
         inside = (z > lo) & (z < hi)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special
 
 from .measures import (
     Distribution,
@@ -78,7 +78,7 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.99) -> tuple[f
     """Wilson score interval for a binomial proportion."""
     if n < 1 or not (0 < confidence < 1):
         raise ParameterError("need n >= 1 and confidence in (0, 1)")
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = special.ndtri(0.5 + confidence / 2.0)
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -343,10 +343,16 @@ def _alpha_mc_survival_chunk(model: RiskModel, width: int, horizon: int,
             claims = claim.sample(n * width, rng).reshape(n, width)
         else:
             claims = np.power(claim.sample(n * width, rng).reshape(n, width), a)
-        premiums = scale * rng.exponential(1.0 / gamma, (n, width))
-        s = base + np.cumsum(claims - premiums, axis=0)
-        alive &= s.max(axis=0) < level
-        base = s[-1]
+        premiums = rng.exponential(1.0 / gamma, (n, width))
+        premiums *= scale
+        claims -= premiums
+        # the running sum row by row: contiguous passes, the same additions in
+        # the same order as np.cumsum(axis=0), whose inner loop is strided
+        for i in range(1, n):
+            np.add(claims[i - 1], claims[i], out=claims[i])
+        claims += base
+        alive &= claims.max(axis=0) < level
+        base = claims[-1].copy()
         if not alive.any():
             break
     return alive
@@ -460,7 +466,7 @@ def kendall_lambda_recursion_check(v: float, u: float, model: RiskModel,
         raise ParameterError("recursion check applies to the kendall algebra")
     if paths_outer < 2 or paths_inner < 1 or horizon < 1:
         raise ParameterError("need paths_outer >= 2, paths_inner >= 1, horizon >= 1")
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = special.ndtri(0.5 + confidence / 2.0)
 
     starts_v = np.full(paths_outer, float(v))
     starts_u = np.full(paths_outer, float(u))

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .convolutions import ConvolutionAlgebra, _pair_quantile
 from .convolutions import _kendall_type_lambda1, _kendall_type_lambda2
@@ -195,6 +194,8 @@ def simulate_terminal_generic(alg: ConvolutionAlgebra, step_law: Distribution, n
 def simulate_generic_vs_specialized(alg: ConvolutionAlgebra, step_law: Distribution,
                                     n: int, paths: int, seed: int = 0) -> float:
     """KS distance between the two samplers' terminal empirical CDFs."""
+    from scipy import stats
+
     if n == 0:
         return 0.0
     fast = simulate_terminal(alg, step_law, n, paths, seed=seed)

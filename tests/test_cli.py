@@ -2,7 +2,9 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
+import scipy
 
 from gcruin import cli
 
@@ -43,6 +45,10 @@ def test_sample_writes_csv_and_meta(tmp_path):
     assert meta["command"] == "sample"
     assert meta["seed"] == cli.DEFAULT_SEED
     assert "version" in meta and "elapsed_seconds" in meta
+    assert meta["numpy_version"] == np.__version__
+    assert meta["scipy_version"] == scipy.__version__
+    assert meta["bit_generator"] == "PCG64"
+    assert meta["schema_version"] == 1
 
 
 def test_sample_is_byte_deterministic(tmp_path):

@@ -632,6 +632,47 @@ MC_MODELS = {
     "kendall_type": ri.RiskModel(co.kendall_type(3.0), STEP, me.uniform(0.0, 2.0), u=1.0),
 }
 MC_HORIZON = {"kendall": 20, "max": 50, "alpha": 50, "kendall_type": 3}
+#: alpha-model fast path over three 512-claim blocks, one model per claim
+#: branch, captured before the block's running sum was rewritten in place
+ALPHA_MC_MODELS = {
+    # U^alpha ~ Exp(gamma): lom_alpha claims of the algebra's order
+    "exp": ri.RiskModel(co.alpha_stable(1.5), me.lom_alpha(1.0, 1.5),
+                        me.lom_alpha(1.0, 1.5), u=1.0, beta=2.0),
+    # alpha = 1: claims used as drawn
+    "unit_order": ri.RiskModel(co.alpha_stable(1.0), me.lom_kendall(1.0, 1.0),
+                               me.lom_alpha(1.0, 1.0), u=1.0),
+    # np.power at alpha != 1
+    "power": ri.RiskModel(co.alpha_stable(1.5), STEP, me.lom_alpha(1.0, 1.5), u=0.5),
+    "lom_other_order": ri.RiskModel(co.alpha_stable(1.5), me.lom_alpha(1.0, 1.0),
+                                    me.lom_alpha(1.0, 1.5), u=1.0, beta=2.0),
+    # the 7-path chunk is all ruined within the first block for every seed
+    "early_exit": ri.RiskModel(co.alpha_stable(0.7), me.pareto_2alpha(1.0),
+                               me.lom_alpha(1.0, 0.7), u=0.2, beta=1.9),
+}
+ALPHA_MC_HORIZON = 1300
+ALPHA_MC_RUIN = {
+    "exp": (
+        "0x1.a212460057f66p-1", "0x1.a3fa10a62dd30p-1",
+        "0x1.a22a4360a16e5p-1", "0x1.a3322683c995fp-1",
+    ),
+    "unit_order": (
+        "0x1.cc45a8619553bp-1", "0x1.c935fe18355a3p-1",
+        "0x1.ca95d79c6ae45p-1", "0x1.cd2d8f045b860p-1",
+    ),
+    "power": (
+        "0x1.8c1cacdd17d16p-1", "0x1.8a14e5b6dfff8p-1",
+        "0x1.8b04cb79beaf2p-1", "0x1.8d5c89e0eb664p-1",
+    ),
+    "lom_other_order": (
+        "0x1.4e03779eea9e5p-1", "0x1.4b63c116e17f5p-1",
+        "0x1.4dd37cde57ae7p-1", "0x1.4e4b6fbfc7064p-1",
+    ),
+    "early_exit": (
+        "0x1.e6cac1d2ccf19p-6", "0x1.d6cc81a1d24d0p-6",
+        "0x1.08e3072b3745fp-5", "0x1.edc9fde83a999p-6",
+    ),
+}
+
 MC_T = {"kendall": 3.0, "max": 3.0, "alpha": 3.0, "kendall_type": 1.0}
 SEEDS = (0, 1, 2, 3)
 
@@ -645,6 +686,13 @@ def test_mc_ruin(name):
     got = [ru.mc_ruin(MC_MODELS[name], MC_HORIZON[name], wa.CHUNK + 7, seed=s).survival
            for s in SEEDS]
     assert hexes(got) == MC_RUIN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ALPHA_MC_MODELS))
+def test_alpha_mc_ruin_blocks(name):
+    got = [ru.mc_ruin(ALPHA_MC_MODELS[name], ALPHA_MC_HORIZON, wa.CHUNK + 7, seed=s).survival
+           for s in SEEDS]
+    assert hexes(got) == ALPHA_MC_RUIN[name]
 
 
 @pytest.mark.parametrize("name", sorted(MC_MODELS))

@@ -1,11 +1,15 @@
-"""Package surface: every exported name exists.
+"""Package surface: every exported name exists, and importing the package
+stays cheap.
 
 Tools that wrap the public API look up each ``__all__`` name with getattr,
 so a name left behind after its function is deleted breaks them.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -26,3 +30,12 @@ def test_every_all_name_resolves(name):
     missing = [attr for attr in mod.__all__ if not hasattr(mod, attr)]
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs more to import than the rest of the package; only the
+    # functions that need it import it
+    src = os.path.dirname(os.path.dirname(gcruin.__file__))
+    subprocess.run([sys.executable, "-c",
+                    "import gcruin, sys; assert 'scipy.stats' not in sys.modules"],
+                   check=True, env={**os.environ, "PYTHONPATH": src})
