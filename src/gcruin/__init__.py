@@ -5,7 +5,7 @@ Subpackages:
   convolutions  - the algebras, their kernels and point-mass convolutions
   williamson    - Williamson transform, inversion, closed-form walk CDFs
   walks         - pathwise simulators (specialized recursions + generic)
-  risk          - claim arrivals and first safety conditions
+  risk          - risk models, terminals at a Poisson time, safety conditions
   ruin          - analytic ruin solvers and Monte Carlo estimation
   cli           - command-line entry point
 """

@@ -39,7 +39,6 @@ from .ruin import (
     mc_ruin_finite_t,
 )
 from .walks import simulate, simulate_terminal
-from .williamson import InversionError
 
 __all__ = ["main", "DEFAULT_SEED"]
 
@@ -361,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_ValidationError, ParameterError, UnsupportedLawError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CertainRuinError, InversionError, OverflowError) as exc:
+    except (CertainRuinError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - start

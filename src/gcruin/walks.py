@@ -17,6 +17,7 @@ streams seeded by (seed, chunk index), so results never depend on scheduling.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "simulate",
     "simulate_terminal",
     "simulate_terminal_generic",
-    "simulate_generic_vs_specialized",
 ]
 
 #: fixed batch width; the chunk partition depends only on the path count
@@ -128,6 +128,17 @@ def _kendall_type_step_batch(alg: ConvolutionAlgebra, x: np.ndarray, u: np.ndarr
     return out
 
 
+def _check_walk(start: float, n: int = 0, paths: int = 1) -> None:
+    """The one input check of every walk entry point."""
+    if n < 0:
+        raise ParameterError("n must be >= 0")
+    if paths < 1:
+        raise ParameterError("paths must be >= 1")
+    _check_finite(start=start)
+    if start < 0:
+        raise ParameterError("start must be nonnegative")
+
+
 def simulate(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
              start: float = 0.0, seed: int = 0, first_step: int = 0) -> WalkPath:
     """One walk of n steps from `start`; step k uses the stream (seed, k).
@@ -136,10 +147,7 @@ def simulate(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
     state reproduces the remaining path: simulate(..., n - k, start=X_k,
     seed=seed, first_step=k) matches steps k+1 ... n of the original run.
     """
-    if n < 0:
-        raise ParameterError("n must be >= 0")
-    if start < 0:
-        raise ParameterError("start must be nonnegative")
+    _check_walk(start, n)
     states = [float(start)]
     steps = []
     x = np.array([float(start)])
@@ -152,18 +160,30 @@ def simulate(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
     return WalkPath(tuple(states), alg, float(start), seed, tuple(steps))
 
 
+def _terminal_walk(alg: ConvolutionAlgebra, step_law: Distribution, paths: int,
+                   start: float, seed: int, counts: Callable) -> np.ndarray:
+    """Terminal states of `paths` walks from `start`, chunk-seeded.
+
+    Each chunk first draws its step counts, ``counts(rng, width)``; path i
+    then makes counts[i] steps.  Every step draws full-width samples, so a
+    path's randomness never depends on the other paths' counts.
+    """
+    out = np.empty(paths)
+    for lo, hi, rng in chunk_streams(paths, seed):
+        steps = counts(rng, hi - lo)
+        x = np.full(hi - lo, float(start))
+        for k in range(1, int(steps.max(initial=0)) + 1):
+            moved = apply_step_batch(alg, x, step_law.sample(hi - lo, rng), rng)
+            x = np.where(k <= steps, moved, x)
+        out[lo:hi] = x
+    return out
+
+
 def simulate_terminal(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
                       paths: int, start: float = 0.0, seed: int = 0) -> np.ndarray:
     """Terminal states X_n of `paths` independent walks (chunked, deterministic)."""
-    if n < 0 or paths < 1:
-        raise ParameterError("need n >= 0 and paths >= 1")
-    out = np.empty(paths)
-    for lo, hi, rng in chunk_streams(paths, seed):
-        x = np.full(hi - lo, float(start))
-        for _ in range(n):
-            x = apply_step_batch(alg, x, step_law.sample(hi - lo, rng), rng)
-        out[lo:hi] = x
-    return out
+    _check_walk(start, n, paths)
+    return _terminal_walk(alg, step_law, paths, start, seed, lambda rng, w: np.full(w, n))
 
 
 def simulate_terminal_generic(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
@@ -177,11 +197,7 @@ def simulate_terminal_generic(alg: ConvolutionAlgebra, step_law: Distribution, n
     draws the step u from uniform 2k and X' from uniform 2k + 1, both kept
     in [1e-16, 1 - 1e-16] as in Distribution.sample.
     """
-    if n < 0 or paths < 1:
-        raise ParameterError("need n >= 0 and paths >= 1")
-    _check_finite(start=start)
-    if start < 0:
-        raise ParameterError("start must be nonnegative")
+    _check_walk(start, n, paths)
     draws = np.array([np.random.default_rng([seed, 7, i]).random(2 * n) for i in range(paths)])
     draws = np.clip(draws, 1e-16, 1.0 - 1e-16)
     x = np.full(paths, float(start))
@@ -189,15 +205,3 @@ def simulate_terminal_generic(alg: ConvolutionAlgebra, step_law: Distribution, n
         u = step_law.quantile(draws[:, 2 * k])
         x = _pair_quantile(alg, x, u, draws[:, 2 * k + 1])
     return x
-
-
-def simulate_generic_vs_specialized(alg: ConvolutionAlgebra, step_law: Distribution,
-                                    n: int, paths: int, seed: int = 0) -> float:
-    """KS distance between the two samplers' terminal empirical CDFs."""
-    from scipy import stats
-
-    if n == 0:
-        return 0.0
-    fast = simulate_terminal(alg, step_law, n, paths, seed=seed)
-    slow = simulate_terminal_generic(alg, step_law, n, paths, seed=seed + 1)
-    return float(stats.ks_2samp(fast, slow).statistic)

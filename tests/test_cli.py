@@ -116,6 +116,16 @@ def test_walk_full_paths(tmp_path):
     assert states == sorted(states)          # max walk is nondecreasing
 
 
+@pytest.mark.parametrize("mode", [[], ["--full"]], ids=["terminal", "full"])
+def test_walk_negative_start_exits_2(tmp_path, capsys, mode):
+    rc = cli.main(["--out", str(tmp_path), "walk", "--algebra", '{"kind": "max"}',
+                   "--step-law", '{"family": "uniform", "a": 0, "b": 1}',
+                   "--n", "2", "--paths", "3", "--start", "-1", *mode])
+    assert rc == 2
+    assert "start must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "walk.csv").exists()
+
+
 def test_safety_kendall(tmp_path):
     rc = cli.main(["--out", str(tmp_path), "safety", "--model", KENDALL_MODEL,
                    "--t", "1.0"])

@@ -128,15 +128,25 @@ def test_kendall_total_mass_exact():
     assert d.total_mass() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_kendall_type_construction_and_mixing_mass():
-    alg = co.kendall_type(2.5)
-    assert alg.c == pytest.approx(1.0 / 1.5)
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 10.0, 100.0, 1000.0])
+def test_kendall_type_construction_and_mixing_mass(p):
+    alg = co.kendall_type(p)
+    assert alg.c == pytest.approx(1.0 / (p - 1.0))
+    for lam in (co._kendall_type_lambda1(alg), co._kendall_type_lambda2(alg)):
+        assert lam.total_mass() == pytest.approx(1.0, abs=1e-8)
+    law = co.convolve_points(alg, 0.5, 1.0)
+    assert law.total_mass() == pytest.approx(1.0, abs=1e-8)
+
+
+def test_kendall_type_input_checks():
     with pytest.raises(me.ParameterError):
         co.kendall_type(3.0, c=0.9)   # only c = 1/(p-1) is supported
     with pytest.raises(me.ParameterError):
         co.kendall_type(1.5)
-    law = co.convolve_points(alg, 0.5, 1.0)
-    assert law.total_mass() == pytest.approx(1.0, abs=1e-8)
+    # large p: quadrature of the mixing densities falls short of 1 here, but
+    # the closed-form CDFs still have mass 1, so the algebra is valid
+    for p in (1e4, 1e6):
+        assert co.kendall_type(p).c == 1.0 / (p - 1.0)
 
 
 # ---------------------------------------------------------------------------

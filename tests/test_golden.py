@@ -213,6 +213,50 @@ TERMINAL_SHA256 = {
     3: "f6c4eaa3c235fda88e306750f1163540ef6d973dff385a76ab4065381e61f33d",
 }
 
+#: every algebra of EXPECT_ALGEBRAS from starts 0 and 0.7, over one partial
+#: chunk (5 paths) and a chunk boundary (CHUNK + 9): per seed and algebra, the
+#: sha256 of the simulate_terminal (3 steps) and mc_poisson_terminal
+#: (lam t = 3) terminals of all eight runs, concatenated; captured before the
+#: two became one terminal-walk kernel
+TERMINAL_GRID_SHA256 = {
+    0: {
+        "classical": "ba8b230ee08121d09d63e01a70702cfa9e779cf219113407e56cecdb0e48afb6",
+        "symmetric": "64afba73447fe2895fc6d4ff1f8aad963fcd3e5c83a2fa0467b9458ccb73c49e",
+        "alpha_stable": "55e8a87ab0300b15cfa3caf4d45935d4d5e1a1d0a91d6b9ef6e7fef2908443af",
+        "max": "42b34fddfcf5cb48649fdea1440fa003a7b70a9d181943fbf93b8aae0b0c5814",
+        "kendall": "194e83d8a0e6318bf15f629658797784956017aa0f36e59a9d31b7c3357d170c",
+        "kingman": "538204b44432412555fcacdf222b7c07aac526c25c3328902fd82e0f3056b301",
+        "kendall_type": "3f675c08dfeaac92df30fcca51e6a31ef0851bc38a3d46d057a872cd691a78aa",
+    },
+    1: {
+        "classical": "2f1aaabb3a81a83b44652d0fefac9216f2405c9fad3e455f4eb7aee377d57030",
+        "symmetric": "5efec5a1429835b8c84a7b8af1e4da6d8b32f4144c32b8e993bdeda792cb9f5d",
+        "alpha_stable": "f5eb70c5e5b75be9da23be5edfa3cb63c4970daa2b77dca00c6939bb969764a6",
+        "max": "9ca887685013170f377a42aa4321ad1bf4543dd8b5c6005c449ec87d0c9c39c4",
+        "kendall": "4b4c2d9a7ff1ee350f54fa56497eb236c417888f2125500852cd7e185b05bd75",
+        "kingman": "a7388c7d06152add02144d3c04dd15118a1f63ae18f4622d03b1dbd462549712",
+        "kendall_type": "b3cd0e09205cc79e23d272a2e9798af402e98f696fc9764e195ef0b3112539a9",
+    },
+    2: {
+        "classical": "e090ac28f9efdd0de746ef9cbe3db2ddcc74e50c7076048cf0ee5514c14f64a0",
+        "symmetric": "31f31e3153d9136bed5773e92471c494b2e94b9b95abdcd65a771773b6c64254",
+        "alpha_stable": "ea42fc702b2e2869dc78814d6ae5db3f1a3f86b0f705a5c5511e2f5312e847a9",
+        "max": "53d3f98130c2c30546a86d19bda4dd0269f0a0471089c54b1d59d0df0d46ebf3",
+        "kendall": "5d9f73294f927f0dbeba21038dfca6972cfdd4859bad5aeafe9fa8fe529cd6ed",
+        "kingman": "fe3b656ec0ca1e3a709df1468a6b30e25c6ccc166c75b1f410981f2726c837ab",
+        "kendall_type": "0d57b6c32066000123ac6d00bbff9b92974a46f5969c3192e8691c264b31605a",
+    },
+    3: {
+        "classical": "79a54cca790cb41e75e82aa09dacd89fa473c49467e392647f31550620c1bbe6",
+        "symmetric": "a9699b28c36c5454a96afb2e8d605140939cbe0ee6e3af917ac6864cd9f2c6dc",
+        "alpha_stable": "046b7effe60baf6632a27849c6bf94f5796b4cb3f05f1cc7b84dac76b110174c",
+        "max": "785dd35ecd04b5dc76c11664eccfc755b275b95b2b1fe8a88307d1c6f0394486",
+        "kendall": "d122ef58fc02bb653c0ee8cf9234f3c91c54b19c40723294e941aa35eaaf0ec1",
+        "kingman": "18d48627289f6461d03e6edf52d185f8d99087c6df243327e118c1638b6e815f",
+        "kendall_type": "904eff076e76a7dea925ec94f70fff6de0b5e35128df96d61cac8c873924fce8",
+    },
+}
+
 CLI_SHA256 = {
     "walk": "8627b08d7b8b9e4ef59bc485eb64b8d6b0ed25ee69a0b43de76d12b18e031cfa",
     "ruin_mc": "422fbcbed6826de76bbc666a131b0ce63c98504c65d718da825d6a3b59dc00c5",
@@ -717,6 +761,19 @@ def test_chunked_terminals(seed):
     terminal = wa.simulate_terminal(alg, STEP, 5, wa.CHUNK + 9, seed=seed)
     assert digest(poisson) == POISSON_TERMINAL_SHA256[seed]
     assert digest(terminal) == TERMINAL_SHA256[seed]
+    got = {}
+    for kind, alg in EXPECT_ALGEBRAS.items():
+        runs = []
+        for start in (0.0, 0.7):
+            for paths in (5, wa.CHUNK + 9):
+                runs.append(wa.simulate_terminal(alg, STEP, 3, paths, start=start, seed=seed))
+                runs.append(ri.mc_poisson_terminal(alg, STEP, 2.0, 1.5, paths, seed=seed,
+                                                   start=start))
+        got[kind] = digest(np.concatenate(runs))
+        # t = 0: no path has a claim, yet each chunk still draws its counts
+        idle = ri.mc_poisson_terminal(alg, STEP, 2.0, 0.0, wa.CHUNK + 9, seed=seed, start=0.7)
+        np.testing.assert_array_equal(idle, np.full(wa.CHUNK + 9, 0.7))
+    assert got == TERMINAL_GRID_SHA256[seed]
 
 
 KENDALL_MODEL = json.dumps({

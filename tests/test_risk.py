@@ -23,25 +23,6 @@ def kendall_model(c=1.0, alpha=1.0, u=1.0, lam=1.0):
 
 
 # ---------------------------------------------------------------------------
-# claim arrivals
-# ---------------------------------------------------------------------------
-
-def test_sample_claim_times_properties():
-    times = ri.sample_claim_times(1.0, 10.0, seed=1)
-    assert np.all(np.diff(times) > 0)
-    assert times[-1] <= 10.0
-    np.testing.assert_array_equal(times, ri.sample_claim_times(1.0, 10.0, seed=1))
-    assert len(ri.sample_claim_times(1.0, 1e-9, seed=1)) == 0
-
-
-def test_sample_claim_times_poisson_mean():
-    counts = [len(ri.sample_claim_times(1.0, 10.0, seed=s)) for s in range(400)]
-    mean = np.mean(counts)
-    se = np.std(counts, ddof=1) / math.sqrt(len(counts))
-    assert abs(mean - 10.0) <= 3.0 * se
-
-
-# ---------------------------------------------------------------------------
 # max algebra expectations
 # ---------------------------------------------------------------------------
 
@@ -361,3 +342,18 @@ def test_risk_model_validation():
         ri.RiskModel(co.max_algebra(), me.uniform(0, 1), me.uniform(0, 1), u=-1.0)
     with pytest.raises(me.ParameterError):
         ri.RiskModel(co.max_algebra(), me.uniform(0, 1), me.uniform(0, 1), lam=0.0)
+    # mc_poisson_terminal: lam and t may be 0 but not negative or non-finite,
+    # and the start must be finite and nonnegative
+    alg, law = co.kendall(1.0), me.uniform(0, 1)
+    for kwargs, message in (({"lam": -1.0}, "^lam must be nonnegative$"),
+                            ({"lam": math.nan}, "^lam must be finite, got nan$"),
+                            ({"t": -0.5}, "^t must be nonnegative$"),
+                            ({"t": math.inf}, "^t must be finite, got inf$"),
+                            ({"start": -1.0}, "^start must be nonnegative$"),
+                            ({"start": math.nan}, "^start must be finite, got nan$")):
+        args = {"lam": 1.0, "t": 1.0, "paths": 3, **kwargs}
+        with pytest.raises(me.ParameterError, match=message):
+            ri.mc_poisson_terminal(alg, law, **args)
+    for lam, t in ((0.0, 1.0), (1.0, 0.0)):
+        got = ri.mc_poisson_terminal(alg, law, lam, t, 3, start=0.5)
+        np.testing.assert_array_equal(got, np.full(3, 0.5))

@@ -100,21 +100,30 @@ def test_kendall_walk_matches_n_step_cdf():
         assert ks <= 0.012, (law.family, ks)
 
 
+def generic_vs_specialized(alg, step_law, n, paths, seed=0):
+    """KS distance between the specialized and the generic sampler's terminals."""
+    if n == 0:
+        return 0.0
+    fast = wa.simulate_terminal(alg, step_law, n, paths, seed=seed)
+    slow = wa.simulate_terminal_generic(alg, step_law, n, paths, seed=seed + 1)
+    return float(stats.ks_2samp(fast, slow).statistic)
+
+
 def test_generic_sampler_agrees_with_specialized():
-    assert wa.simulate_generic_vs_specialized(co.kendall(1.0), me.uniform(0, 1), 0, 100) == 0.0
-    ks = wa.simulate_generic_vs_specialized(co.kendall(1.0), me.uniform(0, 1), 3, 20_000, seed=1)
+    assert generic_vs_specialized(co.kendall(1.0), me.uniform(0, 1), 0, 100) == 0.0
+    ks = generic_vs_specialized(co.kendall(1.0), me.uniform(0, 1), 3, 20_000, seed=1)
     assert ks <= 0.015
-    ks = wa.simulate_generic_vs_specialized(co.max_algebra(), me.uniform(0, 1), 3, 20_000, seed=2)
+    ks = generic_vs_specialized(co.max_algebra(), me.uniform(0, 1), 3, 20_000, seed=2)
     assert ks <= 0.015
-    ks = wa.simulate_generic_vs_specialized(co.alpha_stable(2.0), me.uniform(0, 1), 3, 20_000, seed=3)
+    ks = generic_vs_specialized(co.alpha_stable(2.0), me.uniform(0, 1), 3, 20_000, seed=3)
     assert ks <= 0.015
 
 
 def test_generic_sampler_covers_remaining_algebras():
     for alg in (co.kingman(0.5), co.symmetric()):
-        ks = wa.simulate_generic_vs_specialized(alg, me.uniform(0, 1), 2, 8_000, seed=11)
+        ks = generic_vs_specialized(alg, me.uniform(0, 1), 2, 8_000, seed=11)
         assert ks <= 0.025, (alg.kind, ks)
-    ks = wa.simulate_generic_vs_specialized(co.kendall_type(3.0), me.uniform(0, 1), 2, 4_000, seed=11)
+    ks = generic_vs_specialized(co.kendall_type(3.0), me.uniform(0, 1), 2, 4_000, seed=11)
     assert ks <= 0.035
 
 
@@ -136,8 +145,15 @@ def test_characteristic_function_semigroup():
 def test_walk_input_validation():
     with pytest.raises(me.ParameterError):
         wa.simulate(co.kendall(1.0), me.uniform(0, 1), -1)
+    for start in (-2.0, math.nan, math.inf):
+        with pytest.raises(me.ParameterError):
+            wa.simulate(co.kendall(1.0), me.uniform(0, 1), 2, start=start)
+        with pytest.raises(me.ParameterError):
+            wa.simulate_terminal(co.max_algebra(), me.uniform(0, 1), 0, 3, start=start)
     with pytest.raises(me.ParameterError):
-        wa.simulate(co.kendall(1.0), me.uniform(0, 1), 2, start=-1.0)
+        wa.simulate_terminal(co.kendall(1.0), me.uniform(0, 1), -1, 3)
+    with pytest.raises(me.ParameterError):
+        wa.simulate_terminal(co.kendall(1.0), me.uniform(0, 1), 2, 0)
     with pytest.raises(me.ParameterError):
         co.kingman(-0.6)
 
