@@ -38,7 +38,7 @@ from .ruin import (
     mc_ruin,
     mc_ruin_finite_t,
 )
-from .walks import simulate, simulate_terminal
+from .walks import _check_walk, simulate, simulate_terminal
 
 __all__ = ["main", "DEFAULT_SEED"]
 
@@ -172,6 +172,7 @@ def _cmd_transform(args, out: Path) -> dict:
 def _cmd_walk(args, out: Path) -> dict:
     alg = algebra_from_json(_parse_json(args.algebra, "--algebra"))
     law = distribution_from_json(_parse_json(args.step_law, "--step-law"))
+    _check_walk(args.start, args.n, args.paths)
     if args.full:
         rows = []
         for i in range(args.paths):

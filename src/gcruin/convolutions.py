@@ -191,9 +191,15 @@ def dilate(d: Distribution, a: float) -> Distribution:
         def density(x):
             return d.density(_as_array(x) / a) / a
 
+    sf = None
+    if d.sf_fn is not None:
+        def sf(x):
+            return d.sf_fn(_as_array(x) / a)
+
     atoms = tuple((loc * a, m) for loc, m in d.atoms)
     return Distribution(atoms, cdf, quantile, density, d.support_upper * a, d.support_lower * a,
-                        family="dilated", params={"base": d.family, "scale": a})
+                        family="dilated", params={"base": d.family, "scale": a},
+                        sf_fn=sf, tail_index=d.tail_index)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +304,12 @@ def _kendall_point_convolution(alpha: float, x: float, y: float, quantile) -> Di
     w = r**alpha  # mass of the Pareto part
     a2 = 2.0 * alpha
 
-    def cdf(z):
+    def sf(z):
         z = _as_array(z)
-        zs = np.maximum(z, M)
-        return np.where(z < M, 0.0, 1.0 - w * np.power(M / zs, a2))
+        return np.where(z < M, 1.0, w * np.power(M / np.maximum(z, M), a2))
+
+    def cdf(z):
+        return 1.0 - sf(z)
 
     def density(z):
         z = _as_array(z)
@@ -310,7 +318,8 @@ def _kendall_point_convolution(alpha: float, x: float, y: float, quantile) -> Di
 
     atoms = ((M, 1.0 - w),) if w < 1.0 else ()
     return Distribution(atoms, cdf, quantile, density, math.inf, M,
-                        family="kendall_pair", params={"M": M, "w": w, "alpha": alpha})
+                        family="kendall_pair", params={"M": M, "w": w, "alpha": alpha},
+                        sf_fn=sf, tail_index=a2)
 
 
 def _kingman_point_convolution(s: float, x: float, y: float, quantile) -> Distribution:

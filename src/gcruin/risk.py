@@ -31,7 +31,7 @@ from .measures import (
     power_transform,
 )
 # apply_step_batch is unused here; gcbench's tracer test expects risk to bind it
-from .walks import _check_walk, _terminal_walk, apply_step_batch  # noqa: F401
+from .walks import _check_poisson_mean, _check_walk, _terminal_walk, apply_step_batch  # noqa: F401
 from .williamson import KendallLawPair, kendall_pair
 
 __all__ = [
@@ -98,6 +98,7 @@ def mc_poisson_terminal(alg: ConvolutionAlgebra, step_law: Distribution,
         if value < 0:
             raise ParameterError(f"{name} must be nonnegative")
     _check_walk(start, paths=paths)
+    _check_poisson_mean(lam * t)
     return _terminal_walk(alg, step_law, paths, start, seed,
                           lambda rng, w: rng.poisson(lam * t, w))
 
@@ -186,6 +187,7 @@ def expected_alpha_moment_kendall_claims(pair: KendallLawPair, lam: float, t: fl
     for steps U with the pair's law; for the lack-of-memory law
     min{(cx)^alpha, 1} this is (lam t / 2) c^(-alpha).
     """
+    _check_finite(lam=lam, t=t)
     if lam < 0 or t < 0:
         raise ParameterError("lam and t must be nonnegative")
     if lam * t == 0.0:

@@ -22,10 +22,11 @@ from .measures import (
     ParameterError,
     QUAD_TOL,
     UnsupportedLawError,
+    _check_finite,
     moment_alpha,
 )
 from .risk import RiskModel, _alpha_model_scale, _is_alpha_model
-from .walks import apply_step_batch, chunk_streams
+from .walks import _check_poisson_mean, apply_step_batch, chunk_streams
 
 __all__ = [
     "CertainRuinError",
@@ -422,8 +423,10 @@ def mc_ruin(model: RiskModel, horizon_claims: int = 10_000, paths: int = 100_000
 def mc_ruin_finite_t(model: RiskModel, t: float, paths: int = 100_000,
                      seed: int = 0, confidence: float = 0.99) -> RuinEstimate:
     """Ruin by time t: survive the first N claims with N ~ Poisson(lam * t)."""
+    _check_finite(t=t)
     if t <= 0 or paths < 1:
         raise ParameterError("need t > 0 and paths >= 1")
+    _check_poisson_mean(model.lam * t)
     survivors = 0
     for lo, hi, rng in chunk_streams(paths, seed):
         counts = rng.poisson(model.lam * t, hi - lo)

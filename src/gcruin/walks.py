@@ -139,6 +139,17 @@ def _check_walk(start: float, n: int = 0, paths: int = 1) -> None:
         raise ParameterError("start must be nonnegative")
 
 
+#: the largest mean numpy's Generator.poisson accepts
+_POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
+
+
+def _check_poisson_mean(mean: float) -> None:
+    """Reject a claim-count mean that rng.poisson cannot draw from."""
+    if not mean <= _POISSON_MEAN_MAX:
+        raise ParameterError(f"lam * t = {mean} exceeds the Poisson sampler's range "
+                             f"({_POISSON_MEAN_MAX:.6g})")
+
+
 def simulate(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
              start: float = 0.0, seed: int = 0, first_step: int = 0) -> WalkPath:
     """One walk of n steps from `start`; step k uses the stream (seed, k).

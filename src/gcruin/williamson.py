@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate
 
 from .convolutions import convolve_points, kendall
-from .measures import Distribution, ParameterError, QUAD_TOL, _as_array
+from .measures import Distribution, ParameterError, QUAD_TOL, _as_array, _check_finite
 
 __all__ = [
     "InversionError",
@@ -253,6 +253,7 @@ def shifted_compound_cdf(u: float, pair: KendallLawPair, lam: float, t: float, x
 
     (1 + lam t Psi(u/x) (F - H)) exp(-lam t (1 - H)) on x >= u.
     """
+    _check_finite(lam=lam, t=t)
     if u < 0:
         raise ParameterError("u must be nonnegative")
     if lam < 0 or t < 0:

@@ -126,6 +126,16 @@ def test_walk_negative_start_exits_2(tmp_path, capsys, mode):
     assert not (tmp_path / "walk.csv").exists()
 
 
+@pytest.mark.parametrize("mode", [[], ["--full"]], ids=["terminal", "full"])
+def test_walk_zero_paths_exits_2(tmp_path, capsys, mode):
+    rc = cli.main(["--out", str(tmp_path), "walk", "--algebra", '{"kind": "max"}',
+                   "--step-law", '{"family": "uniform", "a": 0, "b": 1}',
+                   "--n", "2", "--paths", "0", *mode])
+    assert rc == 2
+    assert "paths must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "walk.csv").exists()
+
+
 def test_safety_kendall(tmp_path):
     rc = cli.main(["--out", str(tmp_path), "safety", "--model", KENDALL_MODEL,
                    "--t", "1.0"])

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from gcruin import convolutions as co
 from gcruin import measures as me
@@ -171,9 +173,25 @@ def test_moment_alpha_divergence():
 
 
 def test_moment_alpha_slowly_decaying_finite_tail():
-    # tail index 1, r = 1/2: E X^r = 1 / (1 - r) = 2, though each doubling
-    # segment of the tail integral shrinks only by 2^(-1/2)
+    # tail index 1, r = 1/2: E X^r = 1 / (1 - r) = 2, though the tail
+    # integrand decays only like x^(-3/2)
     assert me.moment_alpha(me.pareto_2alpha(0.5), 0.5) == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("a, r, want", [(1.0, 1.2, 2.5), (1.0, 1.5, 4.0), (0.75, 1.0, 3.0),
+                                        (0.6, 1.19, 120.0)])
+def test_moment_alpha_is_exact_on_declared_pareto_tails(a, r, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        assert me.moment_alpha(me.pareto_2alpha(a), r) == pytest.approx(want, rel=1e-12)
+
+
+def test_laws_without_a_declared_tail_fall_back_to_the_cdf():
+    d = me.uniform(0.0, 2.0)
+    assert d.sf_fn is None and d.tail_index == math.inf
+    np.testing.assert_array_equal(d.sf(np.array([0.5, 3.0])), 1.0 - d.cdf(np.array([0.5, 3.0])))
+    with pytest.raises(me.ParameterError, match="must be finite"):
+        me.moment_alpha(d, math.nan)
 
 
 def test_power_transform():

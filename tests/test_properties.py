@@ -1,0 +1,111 @@
+"""Property tests over generated parameters for the laws with a declared heavy tail.
+
+Each law that declares a survival function and a tail index k has E X^r in
+closed form, finite exactly for r < k; ``moment_alpha`` must reproduce it to
+1e-12 relative without an IntegrationWarning, and must return inf from r = k on.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning
+
+from gcruin import convolutions as co
+from gcruin import measures as me
+
+#: few examples, fixed draws: the whole module runs in about a second
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    phases=(Phase.explicit, Phase.generate, Phase.shrink))
+
+#: a fraction of the way to the tail-index edge, up to 99%
+below_edge = st.floats(0.001, 0.99)
+tail_param = st.floats(0.05, 5.0)
+point = st.floats(1e-3, 1e3)
+
+
+def exact_moment(d, r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        return me.moment_alpha(d, r)
+
+
+def pareto_moment(a, r):
+    return 2.0 * a / (2.0 * a - r)
+
+
+def pair_moment(g, x, y, r):
+    """E X^r of delta_x <> delta_y in the Kendall algebra of order g, r < 2g."""
+    big, small = max(x, y), min(x, y)
+    w = (small / big) ** g
+    return big**r * (1.0 - w + w * pareto_moment(g, r))
+
+
+@PROPERTY
+@given(a=tail_param, frac=below_edge)
+def test_pareto_moment_below_the_edge(a, frac):
+    r = frac * 2.0 * a
+    assert exact_moment(me.pareto_2alpha(a), r) == pytest.approx(pareto_moment(a, r), rel=1e-12)
+
+
+@PROPERTY
+@given(a=tail_param, over=st.floats(1.0, 4.0))
+def test_pareto_moment_at_and_past_the_edge(a, over):
+    d = me.pareto_2alpha(a)
+    assert me.moment_alpha(d, 2.0 * a) == math.inf
+    assert me.moment_alpha(d, over * 2.0 * a) == math.inf
+
+
+@PROPERTY
+@given(g=st.floats(0.1, 4.0), x=point, y=point)
+def test_kendall_pair_moment_is_alpha_additive(g, x, y):
+    d = co.convolve_points(co.kendall(g), x, y)
+    assert d.tail_index == 2.0 * g
+    assert exact_moment(d, g) == pytest.approx(x**g + y**g, rel=1e-12)
+    assert me.moment_alpha(d, 2.0 * g) == math.inf
+
+
+@PROPERTY
+@given(a=tail_param, b=st.floats(0.2, 4.0), s=st.floats(0.01, 100.0), frac=below_edge)
+def test_power_transform_and_dilate_compose_the_tail(a, b, s, frac):
+    k = 2.0 * a
+    powered = me.power_transform(me.pareto_2alpha(a), b)
+    dilated = co.dilate(me.pareto_2alpha(a), s)
+    assert powered.tail_index == k / b
+    assert dilated.tail_index == k
+    # E (X^b)^r = E X^(rb) and E (sX)^r = s^r E X^r
+    r = frac * k / b
+    assert exact_moment(powered, r) == pytest.approx(pareto_moment(a, r * b), rel=1e-12)
+    r = frac * k
+    assert exact_moment(dilated, r) == pytest.approx(s**r * pareto_moment(a, r), rel=1e-12)
+    assert me.moment_alpha(powered, k / b) == math.inf
+
+
+@PROPERTY
+@given(g=st.floats(0.1, 3.0), x=point, y=point, s=st.floats(0.01, 100.0),
+       b=st.floats(0.2, 4.0), frac=below_edge)
+def test_power_of_a_dilated_pair_law(g, x, y, s, b, frac):
+    d = me.power_transform(co.dilate(co.convolve_points(co.kendall(g), x, y), s), b)
+    r = frac * 2.0 * g / b
+    want = s ** (r * b) * pair_moment(g, x, y, r * b)
+    assert exact_moment(d, r) == pytest.approx(want, rel=1e-12)
+
+
+def declared_laws(a, g, x, y, s, b):
+    pair = co.convolve_points(co.kendall(g), x, y)
+    return [me.pareto_2alpha(a), pair, co.dilate(me.pareto_2alpha(a), s), co.dilate(pair, s),
+            me.power_transform(me.pareto_2alpha(a), b), me.power_transform(pair, b)]
+
+
+@PROPERTY
+@given(a=tail_param, g=st.floats(0.1, 3.0), x=point, y=point, s=st.floats(0.01, 100.0),
+       b=st.floats(0.2, 4.0), z=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8))
+def test_sf_and_cdf_sum_to_one(a, g, x, y, s, b, z):
+    for d in declared_laws(a, g, x, y, s, b):
+        assert d.sf_fn is not None
+        # below, at and above the lower end, where the atom of a pair law sits
+        pts = np.array([*z, d.support_lower, d.support_lower * (1 + 1e-9), 0.5 * d.support_lower])
+        np.testing.assert_allclose(d.sf(pts) + d.cdf(pts), 1.0, rtol=0.0, atol=1e-15)

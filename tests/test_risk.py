@@ -229,6 +229,33 @@ def test_kendall_claims_moment_divergence():
     assert ri.expected_alpha_moment_kendall_claims(pair, 1.0, 1.0) == math.inf
 
 
+@pytest.mark.parametrize("lam, t", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+def test_kendall_claims_moment_rejects_non_finite_lam_and_t(lam, t):
+    pair = wi.kendall_pair(me.lom_kendall(1.0, 1.0), 1.0)
+    with pytest.raises(me.ParameterError, match="must be finite"):
+        ri.expected_alpha_moment_kendall_claims(pair, lam, t)
+
+
+@pytest.mark.parametrize("lam, t", [(1.0, math.nan), (1.0, math.inf), (1e10, 1e10), (1.0, 1e300)])
+def test_poisson_terminal_rejects_counts_past_the_sampler_range(lam, t):
+    # a bare numpy ValueError would not match: ParameterError is raised before any draw
+    with pytest.raises(me.ParameterError):
+        ri.mc_poisson_terminal(co.max_algebra(), me.uniform(0, 1), lam, t, 3)
+
+
+def test_poisson_mean_check_matches_the_sampler_edge():
+    from gcruin.walks import _POISSON_MEAN_MAX, _check_poisson_mean
+
+    rng = np.random.default_rng(0)
+    _check_poisson_mean(_POISSON_MEAN_MAX)
+    rng.poisson(_POISSON_MEAN_MAX)
+    over = float(np.nextafter(_POISSON_MEAN_MAX, math.inf))
+    with pytest.raises(me.ParameterError, match="Poisson sampler"):
+        _check_poisson_mean(over)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(over)
+
+
 def test_kendall_premiums_moment():
     pair = wi.kendall_pair(me.lom_kendall(1.0, 1.0), 1.0)
     vp = ri.expected_alpha_moment_kendall_premiums(2.0, pair, 1.0, 2.0)

@@ -311,6 +311,14 @@ def test_mc_ruin_validation():
         ru.mc_ruin_finite_t(max_model(), t=0.0)
 
 
+@pytest.mark.parametrize("lam, t", [(1.0, math.nan), (1.0, math.inf), (1e10, 1e10)])
+def test_mc_ruin_finite_t_rejects_counts_past_the_sampler_range(lam, t):
+    model = ri.RiskModel(co.max_algebra(), me.uniform(0, 1), me.uniform(0, 2), lam=lam)
+    # a bare numpy ValueError would not match: ParameterError is raised before any draw
+    with pytest.raises(me.ParameterError):
+        ru.mc_ruin_finite_t(model, t=t, paths=3)
+
+
 # ---------------------------------------------------------------------------
 # transition-operator recursion check
 # ---------------------------------------------------------------------------

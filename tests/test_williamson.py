@@ -267,6 +267,13 @@ def test_shifted_n_step_cdf():
     assert wi.shifted_n_step_cdf(u, pair, n, u * (1 + 1e-12)) == pytest.approx(ju**n, abs=1e-9)
 
 
+@pytest.mark.parametrize("lam, t", [(math.nan, 1.0), (1.0, math.nan), (1.0, -math.inf)])
+def test_shifted_compound_cdf_rejects_non_finite_lam_and_t(lam, t):
+    pair = wi.kendall_pair(me.lom_kendall(1.0, 1.0), 1.0)
+    with pytest.raises(me.ParameterError, match="must be finite"):
+        wi.shifted_compound_cdf(0.5, pair, lam, t, 2.0)
+
+
 def test_shifted_compound_cdf():
     pair = wi.kendall_pair(me.lom_kendall(1.0, 1.0), 1.0)
     u = 2.0
