@@ -289,7 +289,7 @@ def _pair_quantile(alg: ConvolutionAlgebra, x, y, q) -> np.ndarray:
         th = 2.0 * special.betaincinv(a, a, q) - 1.0
         val = np.sqrt(np.maximum((x * x + y * y) + (2.0 * x * y) * th, 0.0))
     elif k == "kendall_type":
-        _, cdf, _ = _kendall_type_pair_parts(alg, big, r)
+        cdf = _kendall_type_pair_parts(alg, big, r)[1]
         val = _invert_cdf(cdf, q, big, math.inf)
     else:
         raise ParameterError(f"unknown algebra kind {k!r}")
@@ -354,22 +354,31 @@ def _kingman_point_convolution(s: float, x: float, y: float, quantile) -> Distri
                         family="kingman_pair", params={"s": s, "lo": lo, "hi": hi})
 
 
+def _kendall_type_tail_index(p: float) -> float:
+    """Tail index of the Kendall-type mixing laws: their survival functions
+    fall like x^-2, or like x^-3 at p = 2, where the x^-2 terms vanish."""
+    return 2.0 if p > 2.0 else 3.0
+
+
 def _kendall_type_lambda1(alg: ConvolutionAlgebra) -> Distribution:
     """First mixing law of the Kendall-type algebra, c = 1/(p-1).
 
     CDF derived from the kernel's multiplicativity (the published density
-    does not normalize):
-    L1(x) = 1 - [p(p-2) x^-2 + 2p x^-(p+1) - (2p-1) x^-2p] / (p-1)^2 on [1, oo).
+    does not normalize): L1 = 1 - S1 on [1, oo) with
+    S1(x) = [p(p-2) x^-2 + 2p x^-(p+1) - (2p-1) x^-2p] / (p-1)^2.
     """
     p = alg.p
     d = (p - 1.0) ** 2
 
-    def cdf(x):
+    def sf(x):
         x = _as_array(x)
         xs = np.maximum(x, 1.0)
-        val = 1.0 - (p * (p - 2.0) * xs**-2.0 + 2.0 * p * xs**(-p - 1.0)
-                     - (2.0 * p - 1.0) * xs**(-2.0 * p)) / d
-        return np.where(x < 1.0, 0.0, val)
+        val = (p * (p - 2.0) * xs**-2.0 + 2.0 * p * xs**(-p - 1.0)
+               - (2.0 * p - 1.0) * xs**(-2.0 * p)) / d
+        return np.where(x < 1.0, 1.0, val)
+
+    def cdf(x):
+        return 1.0 - sf(x)
 
     def density(x):
         x = _as_array(x)
@@ -379,18 +388,23 @@ def _kendall_type_lambda1(alg: ConvolutionAlgebra) -> Distribution:
         return np.where(x < 1.0, 0.0, val)
 
     return Distribution((), cdf, None, density, math.inf, 1.0,
-                        family="kendall_type_l1", params={"p": p})
+                        family="kendall_type_l1", params={"p": p},
+                        sf_fn=sf, tail_index=_kendall_type_tail_index(p))
 
 
 def _kendall_type_lambda2(alg: ConvolutionAlgebra) -> Distribution:
-    """Second mixing law: density c [2(p-2) + (p+1) u^(1-p)] u^-3 on [1, oo)."""
+    """Second mixing law: density c [2(p-2) + (p+1) u^(1-p)] u^-3 on [1, oo),
+    L2 = 1 - S2 with S2(x) = [(p-2) x^-2 + x^-(p+1)] / (p-1)."""
     p, c = alg.p, alg.c
 
-    def cdf(x):
+    def sf(x):
         x = _as_array(x)
         xs = np.maximum(x, 1.0)
-        val = 1.0 - ((p - 2.0) * xs**-2.0 + xs**(-p - 1.0)) / (p - 1.0)
-        return np.where(x < 1.0, 0.0, val)
+        val = ((p - 2.0) * xs**-2.0 + xs**(-p - 1.0)) / (p - 1.0)
+        return np.where(x < 1.0, 1.0, val)
+
+    def cdf(x):
+        return 1.0 - sf(x)
 
     def density(x):
         x = _as_array(x)
@@ -399,12 +413,13 @@ def _kendall_type_lambda2(alg: ConvolutionAlgebra) -> Distribution:
         return np.where(x < 1.0, 0.0, val)
 
     return Distribution((), cdf, None, density, math.inf, 1.0,
-                        family="kendall_type_l2", params={"p": p})
+                        family="kendall_type_l2", params={"p": p},
+                        sf_fn=sf, tail_index=_kendall_type_tail_index(p))
 
 
 def _kendall_type_pair_parts(alg: ConvolutionAlgebra, M, r):
-    """Atom mass phi(r), CDF and density of the Kendall-type pair law
-    phi(r) delta_M + r^p L1(./M) + (c+1)(r - r^p) L2(./M).
+    """Atom mass phi(r), CDF, density and survival function of the
+    Kendall-type pair law phi(r) delta_M + r^p L1(./M) + (c+1)(r - r^p) L2(./M).
 
     M = max(x, y) and r = min(x, y) / M are numbers or arrays of one shape.
     """
@@ -423,18 +438,24 @@ def _kendall_type_pair_parts(alg: ConvolutionAlgebra, M, r):
         zr = _as_array(z) / M
         return (w1 * lam1.density(zr) + w2 * lam2.density(zr)) / M
 
-    return phi_r, cdf, density
+    def sf(z):
+        z = _as_array(z)
+        zr = z / M
+        return np.where(z < M, 1.0, w1 * lam1.sf_fn(zr) + w2 * lam2.sf_fn(zr))
+
+    return phi_r, cdf, density, sf
 
 
 def _kendall_type_point_convolution(alg: ConvolutionAlgebra, x: float, y: float,
                                     quantile) -> Distribution:
     M = max(x, y)
     r = min(x, y) / M
-    phi_r, cdf, density = _kendall_type_pair_parts(alg, M, r)
+    phi_r, cdf, density, sf = _kendall_type_pair_parts(alg, M, r)
     atoms = ((M, float(phi_r)),) if phi_r > 0 else ()
     return Distribution(atoms, cdf, quantile, density, math.inf, M,
                         family="kendall_type_pair",
-                        params={"M": M, "r": r, "p": alg.p, "c": alg.c})
+                        params={"M": M, "r": r, "p": alg.p, "c": alg.c},
+                        sf_fn=sf, tail_index=_kendall_type_tail_index(alg.p))
 
 
 # ---------------------------------------------------------------------------

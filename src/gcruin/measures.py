@@ -34,7 +34,7 @@ __all__ = [
 #: absolute quadrature tolerance; formulas compared later at 1e-6 need headroom
 QUAD_TOL = 1e-10
 
-#: tail segments stop here; a still-decaying rest is summed as a geometric series
+#: doubling tail segments of a law with no declared tail index stop here
 MOMENT_TRUNCATION = 1e12
 
 
@@ -120,6 +120,12 @@ class Distribution:
 
     def mean(self) -> float:
         return moment_alpha(self, 1.0)
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """The lower end of the support and the atom locations, in order:
+        the points where a quadrature against the law meets a kink or a jump."""
+        return tuple(sorted({self.support_lower, *(loc for loc, _ in self.atoms)}))
 
     @property
     def atom_mass(self) -> float:
@@ -369,14 +375,15 @@ def table(atoms: Sequence[tuple[float, float]],
 # ---------------------------------------------------------------------------
 
 def moment_alpha(d: Distribution, alpha: float) -> float:
-    """E X^alpha via the tail integral of alpha x^(alpha-1)(1 - F(x)).
+    """E X^alpha via the tail integral of alpha x^(alpha-1) sf(x).
 
     An infinite moment is a value, not an error.  A law that declares a
     finite ``tail_index`` k is decided exactly: alpha >= k gives math.inf,
     and below it the moment is integrated from the law's survival function
-    (``_sf_moment``).  Other unbounded laws sum doubling segments of
-    1 - cdf(x) up to MOMENT_TRUNCATION, and return math.inf when the
-    segments stop shrinking by a ratio of at most 0.95.
+    (``_sf_moment``).  Other unbounded laws sum doubling segments of sf(x)
+    until one is negligible; a tail still not negligible at
+    MOMENT_TRUNCATION raises UnsupportedLawError, since only a declared
+    tail index decides that a moment diverges.
     """
     _check_finite(alpha=alpha)
     if alpha <= 0:
@@ -384,15 +391,15 @@ def moment_alpha(d: Distribution, alpha: float) -> float:
     if alpha >= d.tail_index:
         return math.inf
 
-    breakpoints = {0.0, d.support_lower, *[loc for loc, _ in d.atoms]}
+    breakpoints = sorted({0.0, *d.breakpoints})
     if math.isfinite(d.tail_index):
-        return _sf_moment(d, alpha, sorted(breakpoints))
+        return _sf_moment(d, alpha, breakpoints)
     bounded = math.isfinite(d.support_upper)
-    head_end = d.support_upper if bounded else max(1.0, *breakpoints)
+    head_end = d.support_upper if bounded else max(1.0, breakpoints[-1])
     pts = sorted({*breakpoints, head_end})
 
     def integrand(x):
-        return alpha * x ** (alpha - 1.0) * (1.0 - d.cdf(x))
+        return alpha * x ** (alpha - 1.0) * d.sf(x)
 
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
@@ -401,27 +408,16 @@ def moment_alpha(d: Distribution, alpha: float) -> float:
             total += val
     if bounded:
         return total
-    # geometric tail segments; declare divergence when contributions stall
     a = head_end
-    prev = math.inf
-    ratio = 1.0
     while a < MOMENT_TRUNCATION:
-        b = a * 2.0
-        val, _ = integrate.quad(integrand, a, b, epsabs=QUAD_TOL, limit=200)
+        val, _ = integrate.quad(integrand, a, 2.0 * a, epsabs=QUAD_TOL, limit=200)
         total += val
         if val < 1e-13 * max(total, 1.0):
             return total
-        if val > 0.95 * prev and b > 1e6 and val > 1e-9 * max(total, 1.0):
-            # segment contributions have stopped decaying: tail is too heavy
-            return math.inf
-        ratio = val / prev if math.isfinite(prev) and prev > 0 else 1.0
-        prev = val
-        a = b
-    # truncated at the bound: a tail still decaying geometrically adds the
-    # rest of its series, prev * ratio / (1 - ratio)
-    if ratio <= 0.95:
-        return total + prev * ratio / (1.0 - ratio)
-    return math.inf
+        a *= 2.0
+    raise UnsupportedLawError(
+        f"the tail of this {d.family!r} law is not negligible by {MOMENT_TRUNCATION:g}; "
+        "declare its tail_index (and sf_fn) to decide E X^alpha")
 
 
 def _sf_moment(d: Distribution, alpha: float, cuts: list[float]) -> float:

@@ -119,8 +119,7 @@ def _max_compound_expectation(law: Distribution, lt: float, floor: float) -> flo
         return -math.expm1(-lt * (1.0 - float(law.cdf(x))))
 
     hi = law.support_upper
-    cuts = sorted({p for p in (law.support_lower, *(loc for loc, _ in law.atoms))
-                   if floor < p < hi})
+    cuts = [p for p in law.breakpoints if floor < p < hi]
     total = floor
     for a, b in zip([floor, *cuts], [*cuts, hi]):
         if b > a:
@@ -133,6 +132,7 @@ def expected_claim_side_max(model: RiskModel, t: float) -> float:
     """E X_t for the max-algebra claim walk at a Poisson(lam * t) time."""
     if model.algebra.kind != "max":
         raise ParameterError("claim-side expectation requires the max algebra")
+    _check_finite(t=t)
     if t < 0:
         raise ParameterError("t must be nonnegative")
     return _max_compound_expectation(model.claim_law, model.lam * t, 0.0)
@@ -146,6 +146,7 @@ def expected_premium_side_max(model: RiskModel, t: float) -> ValuePair:
     """
     if model.algebra.kind != "max":
         raise ParameterError("premium-side expectation requires the max algebra")
+    _check_finite(t=t)
     if t < 0:
         raise ParameterError("t must be nonnegative")
     lt = model.lam * t

@@ -105,6 +105,7 @@ def alpha_ruin_volterra(F_of_U_alpha: Distribution, gamma: float, beta_alpha: fl
 def _volterra_grid(F_of_U_alpha: Distribution, gamma: float, beta_alpha: float,
                    z_max: float, steps: int, mu: float) -> SurvivalGrid:
     """The solver behind alpha_ruin_volterra, given the claim mean mu."""
+    _check_finite(gamma=gamma, beta_alpha=beta_alpha, z_max=z_max)
     if gamma <= 0 or beta_alpha <= 0 or z_max <= 0 or steps < 2:
         raise ParameterError("need positive gamma, beta_alpha, z_max and steps >= 2")
     q = gamma / beta_alpha
@@ -223,6 +224,8 @@ def max_ruin_ode(F: Distribution, G: Distribution, u_grid) -> SurvivalGrid:
     f = _density_or_raise(F, "claim law")
     _density_or_raise(G, "premium law")
     u_grid = np.asarray(u_grid, dtype=float)
+    if not np.all(np.isfinite(u_grid)):
+        raise ParameterError("u_grid must be finite")
     if np.any(np.diff(u_grid) <= 0) or u_grid[0] < 0:
         raise ParameterError("u_grid must be increasing and nonnegative")
     a = F.support_upper
@@ -274,6 +277,7 @@ def max_ruin_lom(u: float, a: float, F: Distribution) -> RuinEstimate:
 
     Survival is certain iff the claim supremum is at most u v a.
     """
+    _check_finite(u=u, a=a)
     if u < 0 or a <= 0:
         raise ParameterError("need u >= 0 and a > 0")
     level = max(u, a)
@@ -412,12 +416,8 @@ def mc_ruin(model: RiskModel, horizon_claims: int = 10_000, paths: int = 100_000
             _, _, alive = _paired_walk(model, np.zeros(hi - lo),
                                        np.full(hi - lo, float(model.u)), rng, horizon_claims)
         survivors += int(alive.sum())
-    surv = survivors / paths
-    lo_ci, hi_ci = wilson_interval(survivors, paths, confidence)
-    return RuinEstimate(surv, 1.0 - surv, method="monte_carlo",
-                        horizon=horizon_claims, ci_low=lo_ci, ci_high=hi_ci,
-                        paths=paths, diagnostics={"confidence": confidence,
-                                                  "upper_bound_on_survival": True})
+    return _mc_estimate(survivors, paths, confidence, horizon_claims,
+                        upper_bound_on_survival=True)
 
 
 def mc_ruin_finite_t(model: RiskModel, t: float, paths: int = 100_000,
@@ -433,11 +433,17 @@ def mc_ruin_finite_t(model: RiskModel, t: float, paths: int = 100_000,
         _, _, alive = _paired_walk(model, np.zeros(hi - lo), np.full(hi - lo, float(model.u)),
                                    rng, int(counts.max(initial=0)), counts)
         survivors += int(alive.sum())
+    return _mc_estimate(survivors, paths, confidence, f"t={t:g}")
+
+
+def _mc_estimate(survivors: int, paths: int, confidence: float, horizon: int | str,
+                 **diagnostics) -> RuinEstimate:
+    """The Monte Carlo RuinEstimate for a survivor count, with its Wilson interval."""
     surv = survivors / paths
     lo_ci, hi_ci = wilson_interval(survivors, paths, confidence)
-    return RuinEstimate(surv, 1.0 - surv, method="monte_carlo", horizon=f"t={t:g}",
+    return RuinEstimate(surv, 1.0 - surv, method="monte_carlo", horizon=horizon,
                         ci_low=lo_ci, ci_high=hi_ci, paths=paths,
-                        diagnostics={"confidence": confidence})
+                        diagnostics={"confidence": confidence, **diagnostics})
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +473,9 @@ def kendall_lambda_recursion_check(v: float, u: float, model: RiskModel,
     """
     if model.algebra.kind != "kendall":
         raise ParameterError("recursion check applies to the kendall algebra")
+    _check_finite(v=v, u=u)
+    if v < 0 or u < 0:
+        raise ParameterError("v and u must be nonnegative")
     if paths_outer < 2 or paths_inner < 1 or horizon < 1:
         raise ParameterError("need paths_outer >= 2, paths_inner >= 1, horizon >= 1")
     z = special.ndtri(0.5 + confidence / 2.0)

@@ -59,9 +59,10 @@ def williamson_transform(F: Callable | Distribution, alpha: float, t) -> float |
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
     cdf = F.cdf if isinstance(F, Distribution) else F
-    pts = sorted({loc for loc, _ in F.atoms} | {F.support_lower}) if isinstance(F, Distribution) else []
+    pts = F.breakpoints if isinstance(F, Distribution) else ()
 
     def one(tv: float) -> float:
+        _check_finite(t=tv)
         if tv < 0:
             raise ParameterError("t must be nonnegative")
         if tv == 0.0:
@@ -82,6 +83,7 @@ def williamson_transform(F: Callable | Distribution, alpha: float, t) -> float |
 
 def transform_form1(d: Distribution, alpha: float, t: float) -> float:
     """Phi(t) as a Stieltjes integral of the kernel (1 - (ts)^a)_+ against d."""
+    _check_finite(t=t)
     if t < 0:
         raise ParameterError("t must be nonnegative")
     if t == 0.0:
@@ -91,6 +93,7 @@ def transform_form1(d: Distribution, alpha: float, t: float) -> float:
 
 def transform_form2(d: Distribution, alpha: float, t: float) -> float:
     """Phi(t) = F(1/t) - t^a * integral_0^(1/t) s^a dF(s)."""
+    _check_finite(t=t)
     if t < 0:
         raise ParameterError("t must be nonnegative")
     if t == 0.0:
@@ -231,6 +234,7 @@ def shifted_n_step_cdf(u: float, pair: KendallLawPair, n: int, t):
 
     H^(n-1) [H + n Psi(u/t) (F - H)] on t >= u, and 0 below u.
     """
+    _check_finite(u=u)
     if u < 0:
         raise ParameterError("u must be nonnegative")
     if n < 0:
@@ -253,7 +257,7 @@ def shifted_compound_cdf(u: float, pair: KendallLawPair, lam: float, t: float, x
 
     (1 + lam t Psi(u/x) (F - H)) exp(-lam t (1 - H)) on x >= u.
     """
-    _check_finite(lam=lam, t=t)
+    _check_finite(u=u, lam=lam, t=t)
     if u < 0:
         raise ParameterError("u must be nonnegative")
     if lam < 0 or t < 0:
@@ -270,6 +274,9 @@ def shifted_compound_cdf(u: float, pair: KendallLawPair, lam: float, t: float, x
 
 def shifted_compound_atom(u: float, pair: KendallLawPair, lam: float, t: float) -> float:
     """Mass the compounded shifted walk keeps at its starting point u."""
+    _check_finite(u=u, lam=lam, t=t)
+    if u < 0 or lam < 0 or t < 0:
+        raise ParameterError("u, lam and t must be nonnegative")
     hval = float(pair.H(np.array([u]))[0]) if u > 0 else 0.0
     return float(np.exp(-lam * t * (1.0 - hval)))
 

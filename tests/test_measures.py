@@ -186,6 +186,33 @@ def test_moment_alpha_is_exact_on_declared_pareto_tails(a, r, want):
         assert me.moment_alpha(me.pareto_2alpha(a), r) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("p, r, want", [(10.0, 1.9, 12.27473224975619),
+                                        (3.0, 1.9, 9.978592334494765), (3.0, 1.0, 1.6)])
+def test_kendall_type_pair_moments_are_exact(p, r, want):
+    # tail index 2: finite below it, where the doubling segments used to stall
+    d = co.convolve_points(co.kendall_type(p), 0.6, 1.0)
+    assert d.tail_index == 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        assert me.moment_alpha(d, r) == pytest.approx(want, rel=1e-12)
+
+
+def test_undeclared_tail_not_negligible_by_the_truncation_raises():
+    # E X = 10! is finite, but exp(-x^0.1) is not negligible by 1e12 and the
+    # law declares no tail index, so the moment is not decided
+    with warnings.catch_warnings():
+        # quad warns on the far segments of this slow tail before the bound
+        warnings.simplefilter("ignore", IntegrationWarning)
+        with pytest.raises(me.UnsupportedLawError, match="declare its tail_index"):
+            me.moment_alpha(me.lom_alpha(1.0, 0.1), 1.0)
+
+
+def test_breakpoints_are_the_lower_end_and_the_atoms():
+    d = me.table([(2.0, 0.3), (0.5, 0.2), (2.0, 0.0)], [(0.25, 0.0), (3.0, 0.5)])
+    assert d.breakpoints == (0.25, 0.5, 2.0)
+    assert me.uniform(0.5, 2.0).breakpoints == (0.5,)
+
+
 def test_laws_without_a_declared_tail_fall_back_to_the_cdf():
     d = me.uniform(0.0, 2.0)
     assert d.sf_fn is None and d.tail_index == math.inf

@@ -1,12 +1,15 @@
 """Property tests over generated parameters for the laws with a declared heavy tail.
 
 Each law that declares a survival function and a tail index k has E X^r in
-closed form, finite exactly for r < k; ``moment_alpha`` must reproduce it to
-1e-12 relative without an IntegrationWarning, and must return inf from r = k on.
+closed form, finite exactly for r < k; ``moment_alpha`` must reproduce it
+without an IntegrationWarning (to 1e-12 relative for the Pareto and Kendall
+pair laws, 1e-10 for the Kendall-type pair law and 1e-9 within 0.1% of its
+edge), and must return inf from r = k on.
 """
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,17 +97,82 @@ def test_power_of_a_dilated_pair_law(g, x, y, s, b, frac):
     assert exact_moment(d, r) == pytest.approx(want, rel=1e-12)
 
 
-def declared_laws(a, g, x, y, s, b):
+def kendall_type_terms(p):
+    """The (a_j, k_j) of the mixing laws' survival functions sum_j a_j x^(-k_j) on [1, oo)."""
+    d = (p - 1.0) ** 2
+    l1 = [(p * (p - 2.0) / d, 2.0), (2.0 * p / d, p + 1.0), (-(2.0 * p - 1.0) / d, 2.0 * p)]
+    l2 = [((p - 2.0) / (p - 1.0), 2.0), (1.0 / (p - 1.0), p + 1.0)]
+    return l1, l2
+
+
+def kendall_type_pair_moment(p, x, y, r):
+    """E X^r of delta_x <> delta_y in the Kendall-type algebra: M^r [phi + w1 m1(r) + w2 m2(r)]
+    with m_i(r) = 1 + sum_j a_j r / (k_j - r), the terms a_j = 0 left out."""
+    big, small = max(x, y), min(x, y)
+    q, c = small / big, 1.0 / (p - 1.0)
+    w1 = q**p
+    phi, w2 = 1.0 - (c + 1.0) * q + c * w1, (c + 1.0) * (q - w1)
+    m1, m2 = (1.0 + sum(a * r / (k - r) for a, k in terms if a != 0.0)
+              for terms in kendall_type_terms(p))
+    return big**r * (phi + w1 * m1 + w2 * m2)
+
+
+def kendall_type_index(p):
+    return 2.0 if p > 2.0 else 3.0
+
+
+kendall_type_p = st.one_of(st.just(2.0), st.floats(2.0, 100.0))
+
+
+@PROPERTY
+@given(p=kendall_type_p, x=point, y=point, frac=st.floats(0.001, 1.0))
+def test_kendall_type_pair_moment_below_the_edge(p, x, y, frac):
+    d = co.convolve_points(co.kendall_type(p), x, y)
+    k = kendall_type_index(p)
+    assert d.tail_index == k
+    r = frac * (k - 0.1)
+    assert exact_moment(d, r) == pytest.approx(kendall_type_pair_moment(p, x, y, r), rel=1e-10)
+
+
+@PROPERTY
+@given(p=kendall_type_p, x=point, y=point, gap=st.floats(1e-6, 1e-3))
+def test_kendall_type_pair_moment_near_the_edge(p, x, y, gap):
+    r = kendall_type_index(p) * (1.0 - gap)
+    d = co.convolve_points(co.kendall_type(p), x, y)
+    assert exact_moment(d, r) == pytest.approx(kendall_type_pair_moment(p, x, y, r), rel=1e-9)
+
+
+@PROPERTY
+@given(p=st.one_of(st.just(2.0), st.floats(2.0, 1000.0)), x=point, y=point)
+def test_kendall_type_pair_mean_is_additive(p, x, y):
+    d = co.convolve_points(co.kendall_type(p), x, y)
+    assert exact_moment(d, 1.0) == pytest.approx(x + y, rel=1e-12)
+
+
+@PROPERTY
+@given(p=st.floats(2.0, 1000.0), x=point, y=point, over=st.floats(1.0, 4.0))
+def test_kendall_type_pair_moment_past_the_edge_needs_no_quadrature(p, x, y, over):
+    d = co.convolve_points(co.kendall_type(p), x, y)
+    with mock.patch.object(me.integrate, "quad", side_effect=AssertionError("quadrature ran")):
+        assert me.moment_alpha(d, over * kendall_type_index(p)) == math.inf
+
+
+def declared_laws(a, g, x, y, s, b, p):
     pair = co.convolve_points(co.kendall(g), x, y)
+    alg = co.kendall_type(p)
+    typed = co.convolve_points(alg, x, y)
     return [me.pareto_2alpha(a), pair, co.dilate(me.pareto_2alpha(a), s), co.dilate(pair, s),
-            me.power_transform(me.pareto_2alpha(a), b), me.power_transform(pair, b)]
+            me.power_transform(me.pareto_2alpha(a), b), me.power_transform(pair, b),
+            co._kendall_type_lambda1(alg), co._kendall_type_lambda2(alg), typed,
+            co.dilate(typed, s), me.power_transform(typed, b)]
 
 
 @PROPERTY
 @given(a=tail_param, g=st.floats(0.1, 3.0), x=point, y=point, s=st.floats(0.01, 100.0),
-       b=st.floats(0.2, 4.0), z=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8))
-def test_sf_and_cdf_sum_to_one(a, g, x, y, s, b, z):
-    for d in declared_laws(a, g, x, y, s, b):
+       b=st.floats(0.2, 4.0), p=st.floats(2.0, 1000.0),
+       z=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8))
+def test_sf_and_cdf_sum_to_one(a, g, x, y, s, b, p, z):
+    for d in declared_laws(a, g, x, y, s, b, p):
         assert d.sf_fn is not None
         # below, at and above the lower end, where the atom of a pair law sits
         pts = np.array([*z, d.support_lower, d.support_lower * (1 + 1e-9), 0.5 * d.support_lower])

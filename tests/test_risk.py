@@ -236,6 +236,14 @@ def test_kendall_claims_moment_rejects_non_finite_lam_and_t(lam, t):
         ri.expected_alpha_moment_kendall_claims(pair, lam, t)
 
 
+@pytest.mark.parametrize("side", [ri.expected_claim_side_max, ri.expected_premium_side_max,
+                                  ri.safety_condition_max])
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_max_expectations_reject_non_finite_t(side, t):
+    with pytest.raises(me.ParameterError, match="^t must be finite"):
+        side(max_model(), t)
+
+
 @pytest.mark.parametrize("lam, t", [(1.0, math.nan), (1.0, math.inf), (1e10, 1e10), (1.0, 1e300)])
 def test_poisson_terminal_rejects_counts_past_the_sampler_range(lam, t):
     # a bare numpy ValueError would not match: ParameterError is raised before any draw

@@ -345,3 +345,26 @@ def test_recursion_check_validation():
     with pytest.raises(me.ParameterError):
         ru.kendall_lambda_recursion_check(0.0, 1.0, max_model(), paths_outer=10,
                                           paths_inner=5, horizon=2)
+
+
+KENDALL_LOM = me.lom_kendall(1.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ru.max_ruin_lom(math.nan, 1.0, me.uniform(0, 1)),
+    lambda: ru.max_ruin_lom(1.0, math.inf, me.uniform(0, 1)),
+    lambda: ru.max_ruin_ode(me.uniform(0, 1), me.uniform(0, 2), [math.nan]),
+    lambda: ru.max_ruin_ode(me.uniform(0, 1), me.uniform(0, 2), [0.5, math.inf]),
+    lambda: ru.max_ruin_integral_residual(me.uniform(0, 1), me.uniform(0, 2), math.nan),
+    lambda: ru.alpha_ruin_volterra(F_EXP, math.nan, BETA_ALPHA),
+    lambda: ru.alpha_ruin_volterra(F_EXP, GAMMA, math.inf),
+    lambda: ru.alpha_ruin_volterra(F_EXP, GAMMA, BETA_ALPHA, z_max=math.nan),
+    lambda: ru.kendall_lambda_recursion_check(
+        math.nan, 1.0, ri.RiskModel(co.kendall(1.0), KENDALL_LOM, KENDALL_LOM, u=1.0)),
+    lambda: ru.kendall_lambda_recursion_check(
+        0.5, -math.inf, ri.RiskModel(co.kendall(1.0), KENDALL_LOM, KENDALL_LOM, u=1.0)),
+], ids=["lom_u", "lom_a", "ode_nan", "ode_inf", "residual_u", "volterra_gamma",
+        "volterra_beta", "volterra_z_max", "recursion_v", "recursion_u"])
+def test_ruin_entry_points_reject_non_finite_numbers(call):
+    with pytest.raises(me.ParameterError, match="must be finite"):
+        call()

@@ -274,6 +274,25 @@ def test_shifted_compound_cdf_rejects_non_finite_lam_and_t(lam, t):
         wi.shifted_compound_cdf(0.5, pair, lam, t, 2.0)
 
 
+LOM_PAIR = wi.kendall_pair(me.lom_kendall(1.0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wi.shifted_compound_atom(math.nan, LOM_PAIR, 1.0, 1.0),
+    lambda: wi.shifted_compound_atom(1.0, LOM_PAIR, math.inf, 1.0),
+    lambda: wi.shifted_compound_atom(1.0, LOM_PAIR, 1.0, math.nan),
+    lambda: wi.shifted_n_step_cdf(math.nan, LOM_PAIR, 2, 1.0),
+    lambda: wi.shifted_compound_cdf(math.nan, LOM_PAIR, 1.0, 1.0, 2.0),
+    lambda: wi.transform_form1(me.uniform(0, 1), 1.0, math.nan),
+    lambda: wi.transform_form2(me.uniform(0, 1), 1.0, math.inf),
+    lambda: wi.williamson_transform(me.uniform(0, 1), 1.0, [0.5, math.nan]),
+], ids=["atom_u", "atom_lam", "atom_t", "n_step_u", "compound_u", "form1_t", "form2_t",
+        "transform_t"])
+def test_williamson_entry_points_reject_non_finite_numbers(call):
+    with pytest.raises(me.ParameterError, match="must be finite"):
+        call()
+
+
 def test_shifted_compound_cdf():
     pair = wi.kendall_pair(me.lom_kendall(1.0, 1.0), 1.0)
     u = 2.0
