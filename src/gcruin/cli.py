@@ -172,7 +172,7 @@ def _cmd_transform(args, out: Path) -> dict:
 def _cmd_walk(args, out: Path) -> dict:
     alg = algebra_from_json(_parse_json(args.algebra, "--algebra"))
     law = distribution_from_json(_parse_json(args.step_law, "--step-law"))
-    _check_walk(args.start, args.n, args.paths)
+    _check_walk(args.start, args.n, args.paths, args.seed)
     if args.full:
         rows = []
         for i in range(args.paths):

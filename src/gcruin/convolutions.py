@@ -22,6 +22,8 @@ from .measures import (
     ParameterError,
     _as_array,
     _check_finite,
+    _check_nonnegative,
+    _check_positive,
     _invert_cdf,
     point_mass,
 )
@@ -75,9 +77,7 @@ def symmetric() -> ConvolutionAlgebra:
 
 
 def alpha_stable(alpha: float) -> ConvolutionAlgebra:
-    _check_finite(alpha=alpha)
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
+    _check_positive(alpha=alpha)
     return ConvolutionAlgebra("alpha_stable", alpha=alpha)
 
 
@@ -86,9 +86,7 @@ def max_algebra() -> ConvolutionAlgebra:
 
 
 def kendall(alpha: float) -> ConvolutionAlgebra:
-    _check_finite(alpha=alpha)
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
+    _check_positive(alpha=alpha)
     return ConvolutionAlgebra("kendall", alpha=alpha)
 
 
@@ -170,9 +168,7 @@ def _kingman_kernel(s: float, t: np.ndarray) -> np.ndarray:
 
 def dilate(d: Distribution, a: float) -> Distribution:
     """Pushforward of d under scaling by a; a = 0 gives delta_0."""
-    _check_finite(a=a)
-    if a < 0:
-        raise ParameterError("dilation factor must be nonnegative")
+    _check_nonnegative(a=a)
     if a == 0.0:
         return point_mass(0.0)
     if a == 1.0:
@@ -208,9 +204,7 @@ def dilate(d: Distribution, a: float) -> Distribution:
 
 def convolve_points(alg: ConvolutionAlgebra, x: float, y: float) -> Distribution:
     """The exact law delta_x <> delta_y as a Distribution."""
-    _check_finite(x=x, y=y)
-    if x < 0 or y < 0:
-        raise ParameterError("points must be nonnegative")
+    _check_nonnegative(x=x, y=y)
     k = alg.kind
     if x == 0.0 or y == 0.0 or k in ("classical", "alpha_stable", "max"):
         return point_mass(float(_pair_quantile(alg, x, y, 0.5)))
@@ -464,8 +458,7 @@ def _kendall_type_point_convolution(alg: ConvolutionAlgebra, x: float, y: float,
 
 def char_fn(alg: ConvolutionAlgebra, d: Distribution, t: float) -> float:
     """Phi_d(t) = E Omega(X t); compact-support kernels vanish past X = 1/t."""
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    _check_nonnegative(t=t)
     compact = t > 0 and alg.kind in ("max", "kendall", "kendall_type")
     return d.expect(lambda z: float(kernel(alg, z * t)), 1.0 / t if compact else math.inf)
 

@@ -53,8 +53,25 @@ def _as_array(x):
 def _check_finite(**params) -> None:
     """Raise ParameterError unless each named number given (not None) is finite."""
     for name, value in params.items():
-        if value is not None and not math.isfinite(value):
+        # a comparison, not math.isfinite, so that an int seed of any size passes
+        if value is not None and not -math.inf < value < math.inf:
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def _check_nonnegative(**params) -> None:
+    """Raise ParameterError unless each named number given (not None) is finite and >= 0."""
+    _check_finite(**params)
+    for name, value in params.items():
+        if value is not None and value < 0:
+            raise ParameterError(f"{name} must be nonnegative, got {value}")
+
+
+def _check_positive(**params) -> None:
+    """Raise ParameterError unless each named number given (not None) is finite and > 0."""
+    _check_finite(**params)
+    for name, value in params.items():
+        if value is not None and value <= 0:
+            raise ParameterError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +129,11 @@ class Distribution:
         """n i.i.d. draws by inverse-CDF over a seeded uniform stream."""
         if n < 1:
             raise ParameterError("sample size must be >= 1")
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        if isinstance(seed, np.random.Generator):
+            rng = seed
+        else:
+            _check_nonnegative(seed=seed)
+            rng = np.random.default_rng(seed)
         u = rng.random(n)
         # keep u away from the open-interval endpoints
         u = np.clip(u, 1e-16, 1.0 - 1e-16)
@@ -141,6 +162,8 @@ class Distribution:
 
         ``upper`` is a point above which g vanishes; the quadrature stops there.
         """
+        if math.isnan(upper):
+            raise ParameterError("upper must be a number, got nan")
         total = 0.0
         for loc, m in self.atoms:
             total += m * g(loc)
@@ -152,13 +175,13 @@ class Distribution:
         return total
 
 
-def _invert_cdf(cdf_fn, q, lo, hi, iters: int = 200):
+def _invert_cdf(cdf_fn, q, lo, hi):
     """Generalized inverse of a CDF by bisection, vectorized over q.
 
-    ``iters`` caps the bisection steps.  The loop stops early once a step
+    The bisection takes at most 200 steps.  The loop stops early once a step
     leaves both bracket arrays unchanged bit for bit: a step is a
     deterministic map of (lo, hi), so every later step would be a no-op and
-    the result is identical to running all ``iters`` steps.  On a bracket
+    the result is identical to running all 200 steps.  On a bracket
     [1, 2^k] that fixed point comes after about 55 steps.
     """
     q = np.atleast_1d(_as_array(q))
@@ -173,7 +196,7 @@ def _invert_cdf(cdf_fn, q, lo, hi, iters: int = 200):
             if not np.any(bad):
                 break
             hi_arr[bad] *= 2.0
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo_arr + hi_arr)
         below = cdf_fn(mid) < q
         new_lo = np.where(below, mid, lo_arr)
@@ -191,9 +214,7 @@ def _invert_cdf(cdf_fn, q, lo, hi, iters: int = 200):
 
 def pareto_2alpha(alpha: float) -> Distribution:
     """Pareto law on [1, oo) with density 2a x^(-2a-1); tail index 2a."""
-    _check_finite(alpha=alpha)
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
+    _check_positive(alpha=alpha)
     a2 = 2.0 * alpha
 
     def sf(x):
@@ -219,9 +240,7 @@ def lom_alpha(gamma: float, alpha: float) -> Distribution:
 
     Plays the exponential's role (lack of memory) for the alpha-stable algebra.
     """
-    _check_finite(gamma=gamma, alpha=alpha)
-    if gamma <= 0 or alpha <= 0:
-        raise ParameterError("gamma and alpha must be positive")
+    _check_positive(gamma=gamma, alpha=alpha)
 
     def cdf(x):
         x = _as_array(x)
@@ -241,9 +260,7 @@ def lom_alpha(gamma: float, alpha: float) -> Distribution:
 
 def point_mass(a: float) -> Distribution:
     """The degenerate law delta_a."""
-    _check_finite(a=a)
-    if a < 0:
-        raise ParameterError("point mass location must be nonnegative")
+    _check_nonnegative(a=a)
 
     def cdf(x):
         return np.where(_as_array(x) >= a, 1.0, 0.0)
@@ -257,8 +274,7 @@ def point_mass(a: float) -> Distribution:
 
 def lom_max(a: float) -> Distribution:
     """Lack-of-memory law for the max algebra: the point mass delta_a, a > 0."""
-    if a <= 0:
-        raise ParameterError("a must be positive")
+    _check_positive(a=a)
     d = point_mass(a)
     return Distribution(d.atoms, d.cdf_fn, d.quantile_fn, None, a, a,
                         family="lom_max", params={"a": a})
@@ -266,9 +282,7 @@ def lom_max(a: float) -> Distribution:
 
 def lom_kendall(c: float, alpha: float) -> Distribution:
     """Lack-of-memory law for the Kendall algebra: F(x) = min{(cx)^alpha, 1}."""
-    _check_finite(c=c, alpha=alpha)
-    if c <= 0 or alpha <= 0:
-        raise ParameterError("c and alpha must be positive")
+    _check_positive(c=c, alpha=alpha)
     upper = 1.0 / c
 
     def cdf(x):
@@ -319,14 +333,10 @@ def table(atoms: Sequence[tuple[float, float]],
     be 1 within 1e-10.
     """
     atoms = tuple((float(x), float(m)) for x, m in atoms)
-    if any(x < 0 or m < 0 for x, m in atoms):
-        raise ParameterError("atoms need nonnegative locations and masses")
     xs = np.array([p[0] for p in cdf_points], dtype=float)
     cs = np.array([p[1] for p in cdf_points], dtype=float)
     for x, v in (*atoms, *zip(xs, cs)):
-        _check_finite(table_point=x, table_value=v)
-    if np.any(xs < 0):
-        raise ParameterError("cdf_points need nonnegative x; the law lives on [0, oo)")
+        _check_nonnegative(table_point=x, table_value=v)
     if xs.size:
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(cs) < 0):
             raise ParameterError("cdf_points must be strictly increasing in x and nondecreasing in C")
@@ -385,9 +395,7 @@ def moment_alpha(d: Distribution, alpha: float) -> float:
     MOMENT_TRUNCATION raises UnsupportedLawError, since only a declared
     tail index decides that a moment diverges.
     """
-    _check_finite(alpha=alpha)
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
+    _check_positive(alpha=alpha)
     if alpha >= d.tail_index:
         return math.inf
 
@@ -466,9 +474,7 @@ def power_transform(d: Distribution, alpha: float) -> Distribution:
     the new support's lower end.  A survival function composes the same way,
     and a tail index k becomes k / a.
     """
-    _check_finite(alpha=alpha)
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
+    _check_positive(alpha=alpha)
     inv = 1.0 / alpha
     lower = d.support_lower**alpha
 

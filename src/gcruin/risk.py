@@ -26,7 +26,8 @@ from .measures import (
     ParameterError,
     QUAD_TOL,
     UnsupportedLawError,
-    _check_finite,
+    _check_nonnegative,
+    _check_positive,
     moment_alpha,
     power_transform,
 )
@@ -61,13 +62,8 @@ class RiskModel:
     beta: float = 1.0
 
     def __post_init__(self):
-        _check_finite(u=self.u, lam=self.lam, beta=self.beta)
-        if self.u < 0:
-            raise ParameterError("initial capital must be nonnegative")
-        if self.lam <= 0:
-            raise ParameterError("intensity must be positive")
-        if self.beta <= 0:
-            raise ParameterError("premium scale must be positive")
+        _check_nonnegative(u=self.u)
+        _check_positive(lam=self.lam, beta=self.beta)
 
 
 @dataclass(frozen=True)
@@ -93,10 +89,7 @@ def mc_poisson_terminal(alg: ConvolutionAlgebra, step_law: Distribution,
                         lam: float, t: float, paths: int, seed: int = 0,
                         start: float = 0.0) -> np.ndarray:
     """Terminal states X_{N(t)} with N(t) ~ Poisson(lam * t), chunk-seeded."""
-    _check_finite(lam=lam, t=t)
-    for name, value in (("lam", lam), ("t", t)):
-        if value < 0:
-            raise ParameterError(f"{name} must be nonnegative")
+    _check_nonnegative(lam=lam, t=t)
     _check_walk(start, paths=paths)
     _check_poisson_mean(lam * t)
     return _terminal_walk(alg, step_law, paths, start, seed,
@@ -132,9 +125,7 @@ def expected_claim_side_max(model: RiskModel, t: float) -> float:
     """E X_t for the max-algebra claim walk at a Poisson(lam * t) time."""
     if model.algebra.kind != "max":
         raise ParameterError("claim-side expectation requires the max algebra")
-    _check_finite(t=t)
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    _check_nonnegative(t=t)
     return _max_compound_expectation(model.claim_law, model.lam * t, 0.0)
 
 
@@ -146,9 +137,7 @@ def expected_premium_side_max(model: RiskModel, t: float) -> ValuePair:
     """
     if model.algebra.kind != "max":
         raise ParameterError("premium-side expectation requires the max algebra")
-    _check_finite(t=t)
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    _check_nonnegative(t=t)
     lt = model.lam * t
     u = model.u
     value = _max_compound_expectation(model.premium_law, lt, u)
@@ -188,9 +177,7 @@ def expected_alpha_moment_kendall_claims(pair: KendallLawPair, lam: float, t: fl
     for steps U with the pair's law; for the lack-of-memory law
     min{(cx)^alpha, 1} this is (lam t / 2) c^(-alpha).
     """
-    _check_finite(lam=lam, t=t)
-    if lam < 0 or t < 0:
-        raise ParameterError("lam and t must be nonnegative")
+    _check_nonnegative(lam=lam, t=t)
     if lam * t == 0.0:
         return 0.0
     return lam * t * moment_alpha(pair.dist, pair.alpha)
@@ -206,8 +193,7 @@ def expected_alpha_moment_kendall_premiums(u: float, pair: KendallLawPair,
     property each step adds its alpha-moment to that of the start u.
     `paper_value` adds the published extra term u^alpha exp(-lam t (1-J(u))).
     """
-    if u < 0:
-        raise ParameterError("u must be nonnegative")
+    _check_nonnegative(u=u)
     claims = expected_alpha_moment_kendall_claims(pair, lam, t)
     ua = u ** pair.alpha
     value = ua + claims

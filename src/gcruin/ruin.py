@@ -22,8 +22,10 @@ from .measures import (
     ParameterError,
     QUAD_TOL,
     UnsupportedLawError,
-    _check_finite,
+    _check_nonnegative,
+    _check_positive,
     moment_alpha,
+    power_transform,
 )
 from .risk import RiskModel, _alpha_model_scale, _is_alpha_model
 from .walks import _check_poisson_mean, apply_step_batch, chunk_streams
@@ -75,10 +77,17 @@ class SurvivalGrid:
         return np.interp(z, self.z_grid, self.delta_values)
 
 
+def _check_confidence(confidence: float) -> None:
+    """Raise ParameterError unless 0 < confidence < 1; NaN fails too."""
+    if not 0 < confidence < 1:
+        raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
+
+
 def wilson_interval(successes: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if n < 1 or not (0 < confidence < 1):
-        raise ParameterError("need n >= 1 and confidence in (0, 1)")
+    if n < 1 or not 0 <= successes <= n:
+        raise ParameterError(f"need n >= 1 and 0 <= successes <= n, got {successes} of {n}")
+    _check_confidence(confidence)
     z = special.ndtri(0.5 + confidence / 2.0)
     phat = successes / n
     denom = 1.0 + z * z / n
@@ -105,9 +114,9 @@ def alpha_ruin_volterra(F_of_U_alpha: Distribution, gamma: float, beta_alpha: fl
 def _volterra_grid(F_of_U_alpha: Distribution, gamma: float, beta_alpha: float,
                    z_max: float, steps: int, mu: float) -> SurvivalGrid:
     """The solver behind alpha_ruin_volterra, given the claim mean mu."""
-    _check_finite(gamma=gamma, beta_alpha=beta_alpha, z_max=z_max)
-    if gamma <= 0 or beta_alpha <= 0 or z_max <= 0 or steps < 2:
-        raise ParameterError("need positive gamma, beta_alpha, z_max and steps >= 2")
+    _check_positive(gamma=gamma, beta_alpha=beta_alpha, z_max=z_max)
+    if steps < 2:
+        raise ParameterError("need steps >= 2")
     q = gamma / beta_alpha
     rho = gamma * mu / beta_alpha
     if not math.isfinite(rho) or rho >= 1.0:
@@ -150,13 +159,14 @@ def alpha_ruin_laplace_check(grid: SurvivalGrid, F: Distribution, gamma: float,
     Ghat is the Laplace transform of the tail 1 - F, computed by quadrature;
     the grid transform gets an analytic tail correction delta(z_max) e^{-s z}/s.
     """
+    s_arr = np.asarray(s_values, dtype=float)
+    if not np.all((s_arr > 0) & (s_arr < math.inf)):
+        raise ParameterError(f"Laplace abscissas must be finite and positive, got {s_values}")
     mu = moment_alpha(F, 1.0)
     z = grid.z_grid
     d = grid.delta_values
     out = []
     for s in s_values:
-        if s <= 0:
-            raise ParameterError("Laplace abscissas must be positive")
         lhs = float(np.trapezoid(np.exp(-s * z) * d, z))
         lhs += d[-1] * math.exp(-s * z[-1]) / s
         ghat, _ = integrate.quad(lambda x: math.exp(-s * x) * (1.0 - float(F.cdf(x))),
@@ -185,8 +195,7 @@ def alpha_ruin_grid(us, model: RiskModel, steps: int = 2000) -> list[RuinEstimat
     grids: dict[float, SurvivalGrid] = {}
     out = []
     for u in us:
-        if not (math.isfinite(u) and u >= 0):
-            raise ParameterError(f"u must be finite and nonnegative, got {u}")
+        _check_nonnegative(u=u)
         zu = u**a
         zm = max(10.0, 5.0 * zu)
         if zm not in grids:
@@ -224,10 +233,8 @@ def max_ruin_ode(F: Distribution, G: Distribution, u_grid) -> SurvivalGrid:
     f = _density_or_raise(F, "claim law")
     _density_or_raise(G, "premium law")
     u_grid = np.asarray(u_grid, dtype=float)
-    if not np.all(np.isfinite(u_grid)):
-        raise ParameterError("u_grid must be finite")
-    if np.any(np.diff(u_grid) <= 0) or u_grid[0] < 0:
-        raise ParameterError("u_grid must be increasing and nonnegative")
+    if not (np.all((u_grid >= 0) & (u_grid < math.inf)) and np.all(np.diff(u_grid) > 0)):
+        raise ParameterError(f"u_grid must be finite, nonnegative and increasing, got {u_grid}")
     a = F.support_upper
     if not math.isfinite(a):
         return SurvivalGrid(u_grid, np.zeros_like(u_grid))
@@ -277,9 +284,8 @@ def max_ruin_lom(u: float, a: float, F: Distribution) -> RuinEstimate:
 
     Survival is certain iff the claim supremum is at most u v a.
     """
-    _check_finite(u=u, a=a)
-    if u < 0 or a <= 0:
-        raise ParameterError("need u >= 0 and a > 0")
+    _check_nonnegative(u=u)
+    _check_positive(a=a)
     level = max(u, a)
     surv = 1.0 if F.support_upper <= level else 0.0
     return RuinEstimate(surv, 1.0 - surv, method="closed_form",
@@ -305,8 +311,7 @@ def max_ruin_closed(u: float, model: RiskModel) -> RuinEstimate:
     """
     if not has_max_closed_form(model):
         raise UnsupportedLawError("no closed form for this max-model law pair")
-    if not (math.isfinite(u) and u >= 0):
-        raise ParameterError(f"u must be finite and nonnegative, got {u}")
+    _check_nonnegative(u=u)
     F, G = model.claim_law, model.premium_law
     if G.family in ("point", "lom_max"):
         return max_ruin_lom(u, model.beta * G.params["a"], F)
@@ -337,6 +342,7 @@ def _alpha_mc_survival_chunk(model: RiskModel, width: int, horizon: int,
     claim_exp_rate = (claim.params["gamma"]
                       if claim.family == "lom_alpha" and claim.params["alpha"] == a
                       else None)
+    claim_z = power_transform(claim, a)
     alive = np.ones(width, dtype=bool)
     base = np.zeros(width)
     block = 512
@@ -344,10 +350,8 @@ def _alpha_mc_survival_chunk(model: RiskModel, width: int, horizon: int,
         n = min(block, horizon - lo)
         if claim_exp_rate is not None:
             claims = rng.exponential(1.0 / claim_exp_rate, (n, width))
-        elif a == 1.0:
-            claims = claim.sample(n * width, rng).reshape(n, width)
         else:
-            claims = np.power(claim.sample(n * width, rng).reshape(n, width), a)
+            claims = claim_z.sample(n * width, rng).reshape(n, width)
         premiums = rng.exponential(1.0 / gamma, (n, width))
         premiums *= scale
         claims -= premiums
@@ -407,6 +411,7 @@ def mc_ruin(model: RiskModel, horizon_claims: int = 10_000, paths: int = 100_000
     """
     if horizon_claims < 1 or paths < 1:
         raise ParameterError("need horizon_claims >= 1 and paths >= 1")
+    _check_confidence(confidence)
     fast_alpha = _is_alpha_model(model)
     survivors = 0
     for lo, hi, rng in chunk_streams(paths, seed):
@@ -423,9 +428,10 @@ def mc_ruin(model: RiskModel, horizon_claims: int = 10_000, paths: int = 100_000
 def mc_ruin_finite_t(model: RiskModel, t: float, paths: int = 100_000,
                      seed: int = 0, confidence: float = 0.99) -> RuinEstimate:
     """Ruin by time t: survive the first N claims with N ~ Poisson(lam * t)."""
-    _check_finite(t=t)
-    if t <= 0 or paths < 1:
-        raise ParameterError("need t > 0 and paths >= 1")
+    _check_positive(t=t)
+    if paths < 1:
+        raise ParameterError("need paths >= 1")
+    _check_confidence(confidence)
     _check_poisson_mean(model.lam * t)
     survivors = 0
     for lo, hi, rng in chunk_streams(paths, seed):
@@ -473,11 +479,10 @@ def kendall_lambda_recursion_check(v: float, u: float, model: RiskModel,
     """
     if model.algebra.kind != "kendall":
         raise ParameterError("recursion check applies to the kendall algebra")
-    _check_finite(v=v, u=u)
-    if v < 0 or u < 0:
-        raise ParameterError("v and u must be nonnegative")
+    _check_nonnegative(v=v, u=u, seed=seed)
     if paths_outer < 2 or paths_inner < 1 or horizon < 1:
         raise ParameterError("need paths_outer >= 2, paths_inner >= 1, horizon >= 1")
+    _check_confidence(confidence)
     z = special.ndtri(0.5 + confidence / 2.0)
 
     starts_v = np.full(paths_outer, float(v))

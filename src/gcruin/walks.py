@@ -24,7 +24,7 @@ import numpy as np
 
 from .convolutions import ConvolutionAlgebra, _pair_quantile
 from .convolutions import _kendall_type_lambda1, _kendall_type_lambda2
-from .measures import Distribution, ParameterError, _check_finite, _invert_cdf
+from .measures import Distribution, ParameterError, _check_nonnegative, _invert_cdf
 
 __all__ = [
     "CHUNK",
@@ -45,6 +45,7 @@ def chunk_streams(paths: int, seed: int, width: int = CHUNK, key: tuple = ()):
     Chunk ci draws from default_rng([seed, *key, ci]); `key` separates
     streams that share a seed.
     """
+    _check_nonnegative(seed=seed)
     for ci, lo in enumerate(range(0, paths, width)):
         yield lo, min(lo + width, paths), np.random.default_rng([seed, *key, ci])
 
@@ -128,15 +129,16 @@ def _kendall_type_step_batch(alg: ConvolutionAlgebra, x: np.ndarray, u: np.ndarr
     return out
 
 
-def _check_walk(start: float, n: int = 0, paths: int = 1) -> None:
-    """The one input check of every walk entry point."""
+def _check_walk(start: float, n: int = 0, paths: int = 1, seed: int | None = None) -> None:
+    """The one input check of every walk entry point.
+
+    A walk that draws through chunk_streams leaves ``seed`` to it.
+    """
     if n < 0:
         raise ParameterError("n must be >= 0")
     if paths < 1:
         raise ParameterError("paths must be >= 1")
-    _check_finite(start=start)
-    if start < 0:
-        raise ParameterError("start must be nonnegative")
+    _check_nonnegative(start=start, seed=seed)
 
 
 #: the largest mean numpy's Generator.poisson accepts
@@ -158,7 +160,7 @@ def simulate(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
     state reproduces the remaining path: simulate(..., n - k, start=X_k,
     seed=seed, first_step=k) matches steps k+1 ... n of the original run.
     """
-    _check_walk(start, n)
+    _check_walk(start, n, seed=seed)
     states = [float(start)]
     steps = []
     x = np.array([float(start)])
@@ -208,7 +210,7 @@ def simulate_terminal_generic(alg: ConvolutionAlgebra, step_law: Distribution, n
     draws the step u from uniform 2k and X' from uniform 2k + 1, both kept
     in [1e-16, 1 - 1e-16] as in Distribution.sample.
     """
-    _check_walk(start, n, paths)
+    _check_walk(start, n, paths, seed)
     draws = np.array([np.random.default_rng([seed, 7, i]).random(2 * n) for i in range(paths)])
     draws = np.clip(draws, 1e-16, 1.0 - 1e-16)
     x = np.full(paths, float(start))

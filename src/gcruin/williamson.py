@@ -17,7 +17,8 @@ import numpy as np
 from scipy import integrate
 
 from .convolutions import convolve_points, kendall
-from .measures import Distribution, ParameterError, QUAD_TOL, _as_array, _check_finite
+from .measures import (Distribution, ParameterError, QUAD_TOL, _as_array,
+                       _check_nonnegative, _check_positive)
 
 __all__ = [
     "InversionError",
@@ -56,15 +57,15 @@ def psi(s, alpha: float):
 
 def williamson_transform(F: Callable | Distribution, alpha: float, t) -> float | np.ndarray:
     """Phi(t) = a t^a * integral_0^(1/t) s^(a-1) F(s) ds  (CDF-only form)."""
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
+    _check_positive(alpha=alpha)
+    t = _as_array(t)
+    # written so that NaN fails the test too
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise ParameterError(f"t must be finite and nonnegative, got {t}")
     cdf = F.cdf if isinstance(F, Distribution) else F
     pts = F.breakpoints if isinstance(F, Distribution) else ()
 
     def one(tv: float) -> float:
-        _check_finite(t=tv)
-        if tv < 0:
-            raise ParameterError("t must be nonnegative")
         if tv == 0.0:
             return 1.0
         hi = 1.0 / tv
@@ -75,7 +76,6 @@ def williamson_transform(F: Callable | Distribution, alpha: float, t) -> float |
         )
         return alpha * tv**alpha * val
 
-    t = _as_array(t)
     if t.ndim == 0:
         return one(float(t))
     return np.array([one(float(tv)) for tv in t])
@@ -83,9 +83,8 @@ def williamson_transform(F: Callable | Distribution, alpha: float, t) -> float |
 
 def transform_form1(d: Distribution, alpha: float, t: float) -> float:
     """Phi(t) as a Stieltjes integral of the kernel (1 - (ts)^a)_+ against d."""
-    _check_finite(t=t)
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    _check_positive(alpha=alpha)
+    _check_nonnegative(t=t)
     if t == 0.0:
         return 1.0
     return d.expect(lambda s: max(1.0 - (t * s) ** alpha, 0.0), 1.0 / t)
@@ -93,9 +92,8 @@ def transform_form1(d: Distribution, alpha: float, t: float) -> float:
 
 def transform_form2(d: Distribution, alpha: float, t: float) -> float:
     """Phi(t) = F(1/t) - t^a * integral_0^(1/t) s^a dF(s)."""
-    _check_finite(t=t)
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
+    _check_positive(alpha=alpha)
+    _check_nonnegative(t=t)
     if t == 0.0:
         return 1.0
     cut = 1.0 / t
@@ -110,8 +108,7 @@ def williamson_invert(H: Callable, alpha: float, t: float,
     With an analytic derivative the inversion is exact; otherwise H' is
     estimated by Richardson-extrapolated central differences.
     """
-    if t <= 0:
-        raise ParameterError("t must be positive")
+    _check_positive(alpha=alpha, t=t)
     if dH is not None:
         deriv = float(dH(t))
     else:
@@ -203,8 +200,7 @@ def _closed_form_h(d: Distribution, alpha: float):
 
 def kendall_pair(d: Distribution, alpha: float) -> KendallLawPair:
     """Build (F, H) for a step law; closed-form H where the family allows it."""
-    if alpha <= 0:
-        raise ParameterError("alpha must be positive")
+    _check_positive(alpha=alpha)
     H = _closed_form_h(d, alpha)
     if H is None:
         def H(x):
@@ -234,14 +230,12 @@ def shifted_n_step_cdf(u: float, pair: KendallLawPair, n: int, t):
 
     H^(n-1) [H + n Psi(u/t) (F - H)] on t >= u, and 0 below u.
     """
-    _check_finite(u=u)
-    if u < 0:
-        raise ParameterError("u must be nonnegative")
+    _check_nonnegative(u=u)
     if n < 0:
         raise ParameterError("n must be >= 0")
     t = _as_array(t)
-    if np.any(t <= 0):
-        raise ParameterError("t must be positive")
+    if not np.all(t > 0):
+        raise ParameterError(f"t must be positive, got {t}")
     ind = (t >= u).astype(float)
     if n == 0:
         out = ind
@@ -257,14 +251,10 @@ def shifted_compound_cdf(u: float, pair: KendallLawPair, lam: float, t: float, x
 
     (1 + lam t Psi(u/x) (F - H)) exp(-lam t (1 - H)) on x >= u.
     """
-    _check_finite(u=u, lam=lam, t=t)
-    if u < 0:
-        raise ParameterError("u must be nonnegative")
-    if lam < 0 or t < 0:
-        raise ParameterError("lam and t must be nonnegative")
+    _check_nonnegative(u=u, lam=lam, t=t)
     x = _as_array(x)
-    if np.any(x <= 0):
-        raise ParameterError("x must be positive")
+    if not np.all(x > 0):
+        raise ParameterError(f"x must be positive, got {x}")
     lt = lam * t
     F, H = pair.F(x), pair.H(x)
     shrink = psi(u / np.maximum(x, 1e-300), pair.alpha)
@@ -274,9 +264,7 @@ def shifted_compound_cdf(u: float, pair: KendallLawPair, lam: float, t: float, x
 
 def shifted_compound_atom(u: float, pair: KendallLawPair, lam: float, t: float) -> float:
     """Mass the compounded shifted walk keeps at its starting point u."""
-    _check_finite(u=u, lam=lam, t=t)
-    if u < 0 or lam < 0 or t < 0:
-        raise ParameterError("u, lam and t must be nonnegative")
+    _check_nonnegative(u=u, lam=lam, t=t)
     hval = float(pair.H(np.array([u]))[0]) if u > 0 else 0.0
     return float(np.exp(-lam * t * (1.0 - hval)))
 

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +128,33 @@ def test_walk_negative_start_exits_2(tmp_path, capsys, mode):
     assert rc == 2
     assert "start must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "walk.csv").exists()
+
+
+UNIFORM = '{"family": "uniform", "a": 0, "b": 1}'
+
+
+@pytest.mark.parametrize("argv, data_file", [
+    (["sample", "--law", UNIFORM], "sample.csv"),
+    (["walk", "--algebra", '{"kind": "max"}', "--step-law", UNIFORM, "--n", "2"], "walk.csv"),
+    (["walk", "--algebra", '{"kind": "max"}', "--step-law", UNIFORM, "--n", "2", "--full"],
+     "walk.csv"),
+    (["ruin", "--model", KENDALL_MODEL, "--paths", "10", "--horizon", "2"], "ruin.csv"),
+], ids=["sample", "walk", "walk_full", "ruin"])
+def test_negative_seed_exits_2(tmp_path, capsys, argv, data_file):
+    assert cli.main(["--out", str(tmp_path), *argv, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not (tmp_path / data_file).exists()
+
+
+def test_python_m_gcruin_reports_errors_without_a_traceback(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "gcruin", "--out", str(tmp_path), "sample",
+                          "--law", UNIFORM, "--seed", "-1"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr == "error: seed must be nonnegative, got -1\n"
+    assert not (tmp_path / "sample.csv").exists()
 
 
 @pytest.mark.parametrize("mode", [[], ["--full"]], ids=["terminal", "full"])

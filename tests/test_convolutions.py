@@ -204,6 +204,7 @@ def test_algebra_from_json():
     lambda: co.convolve_points(co.kendall(1.0), math.nan, 1.0),
     lambda: co.convolve_points(co.max_algebra(), 1.0, math.inf),
     lambda: co.algebra_from_json({"kind": "kendall", "alpha": math.nan}),
+    lambda: co.char_fn(co.kendall(1.0), me.lom_kendall(1.0, 1.0), math.nan),
 ])
 def test_builders_reject_non_finite_parameters(build):
     with pytest.raises(me.ParameterError, match="finite"):

@@ -291,6 +291,11 @@ def test_parameter_validation():
         me.uniform(2.0, 1.0)
     with pytest.raises(me.ParameterError):
         me.lom_kendall(0.0, 1.0)
+    with pytest.raises(me.ParameterError, match="^seed must be nonnegative, got -1$"):
+        me.uniform(0.0, 1.0).sample(3, seed=-1)
+    # a NaN upper limit would drop the density part and return the atoms alone
+    with pytest.raises(me.ParameterError, match="^upper must be a number"):
+        me.uniform(0.0, 1.0).expect(lambda x: x, upper=math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -380,15 +380,21 @@ def test_risk_model_validation():
     # mc_poisson_terminal: lam and t may be 0 but not negative or non-finite,
     # and the start must be finite and nonnegative
     alg, law = co.kendall(1.0), me.uniform(0, 1)
-    for kwargs, message in (({"lam": -1.0}, "^lam must be nonnegative$"),
+    for kwargs, message in (({"lam": -1.0}, "^lam must be nonnegative, got -1.0$"),
                             ({"lam": math.nan}, "^lam must be finite, got nan$"),
-                            ({"t": -0.5}, "^t must be nonnegative$"),
+                            ({"t": -0.5}, "^t must be nonnegative, got -0.5$"),
                             ({"t": math.inf}, "^t must be finite, got inf$"),
-                            ({"start": -1.0}, "^start must be nonnegative$"),
-                            ({"start": math.nan}, "^start must be finite, got nan$")):
+                            ({"start": -1.0}, "^start must be nonnegative, got -1.0$"),
+                            ({"start": math.nan}, "^start must be finite, got nan$"),
+                            ({"seed": -1}, "^seed must be nonnegative, got -1$")):
         args = {"lam": 1.0, "t": 1.0, "paths": 3, **kwargs}
         with pytest.raises(me.ParameterError, match=message):
             ri.mc_poisson_terminal(alg, law, **args)
+    # the Kendall premium-side moment: the capital u must be finite
+    pair = wi.kendall_pair(me.lom_kendall(1.0, 1.0), 1.0)
+    for u in (math.nan, math.inf):
+        with pytest.raises(me.ParameterError, match=f"^u must be finite, got {u}$"):
+            ri.expected_alpha_moment_kendall_premiums(u, pair, 1.0, 1.0)
     for lam, t in ((0.0, 1.0), (1.0, 0.0)):
         got = ri.mc_poisson_terminal(alg, law, lam, t, 3, start=0.5)
         np.testing.assert_array_equal(got, np.full(3, 0.5))

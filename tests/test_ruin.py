@@ -44,6 +44,8 @@ def test_wilson_interval():
     assert wide[0] < lo and wide[1] > hi
     with pytest.raises(me.ParameterError):
         ru.wilson_interval(0, 0)
+    with pytest.raises(me.ParameterError, match="successes"):
+        ru.wilson_interval(5, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +306,24 @@ def test_mc_ruin_lambda_independence():
     assert 0.0 < e1.survival < 1.0
 
 
-def test_mc_ruin_validation():
+def test_mc_ruin_validation(monkeypatch):
     with pytest.raises(me.ParameterError):
         ru.mc_ruin(max_model(), horizon_claims=0)
     with pytest.raises(me.ParameterError):
         ru.mc_ruin_finite_t(max_model(), t=0.0)
+    with pytest.raises(me.ParameterError, match="^seed must be nonnegative, got -1$"):
+        ru.mc_ruin(max_model(), horizon_claims=2, paths=3, seed=-1)
+
+    # a bad confidence is rejected before the first chunk is simulated
+    def no_draws(*args, **kwargs):
+        raise AssertionError("simulated before checking confidence")
+
+    monkeypatch.setattr(ru, "chunk_streams", no_draws)
+    for confidence in (1.5, 0.0, math.nan):
+        with pytest.raises(me.ParameterError, match="^confidence must lie in"):
+            ru.mc_ruin(max_model(), horizon_claims=2, paths=3, confidence=confidence)
+        with pytest.raises(me.ParameterError, match="^confidence must lie in"):
+            ru.mc_ruin_finite_t(max_model(), t=1.0, paths=3, confidence=confidence)
 
 
 @pytest.mark.parametrize("lam, t", [(1.0, math.nan), (1.0, math.inf), (1e10, 1e10)])
@@ -345,6 +360,11 @@ def test_recursion_check_validation():
     with pytest.raises(me.ParameterError):
         ru.kendall_lambda_recursion_check(0.0, 1.0, max_model(), paths_outer=10,
                                           paths_inner=5, horizon=2)
+    model = ri.RiskModel(co.kendall(1.0), KENDALL_LOM, KENDALL_LOM, u=1.0)
+    for kwargs in ({"confidence": 1.5}, {"confidence": math.nan}, {"seed": -1}):
+        with pytest.raises(me.ParameterError):
+            ru.kendall_lambda_recursion_check(0.0, 1.0, model, paths_outer=10, paths_inner=5,
+                                              horizon=2, **kwargs)
 
 
 KENDALL_LOM = me.lom_kendall(1.0, 1.0)
@@ -363,8 +383,10 @@ KENDALL_LOM = me.lom_kendall(1.0, 1.0)
         math.nan, 1.0, ri.RiskModel(co.kendall(1.0), KENDALL_LOM, KENDALL_LOM, u=1.0)),
     lambda: ru.kendall_lambda_recursion_check(
         0.5, -math.inf, ri.RiskModel(co.kendall(1.0), KENDALL_LOM, KENDALL_LOM, u=1.0)),
+    lambda: ru.alpha_ruin_laplace_check(ru.alpha_ruin_volterra(F_EXP, GAMMA, BETA_ALPHA, steps=10),
+                                        F_EXP, GAMMA, BETA_ALPHA, [math.nan]),
 ], ids=["lom_u", "lom_a", "ode_nan", "ode_inf", "residual_u", "volterra_gamma",
-        "volterra_beta", "volterra_z_max", "recursion_v", "recursion_u"])
+        "volterra_beta", "volterra_z_max", "recursion_v", "recursion_u", "laplace_s"])
 def test_ruin_entry_points_reject_non_finite_numbers(call):
     with pytest.raises(me.ParameterError, match="must be finite"):
         call()

@@ -154,6 +154,12 @@ def test_walk_input_validation():
         wa.simulate_terminal(co.kendall(1.0), me.uniform(0, 1), -1, 3)
     with pytest.raises(me.ParameterError):
         wa.simulate_terminal(co.kendall(1.0), me.uniform(0, 1), 2, 0)
+    # a negative seed is a ParameterError, not numpy's bare ValueError
+    for walk in (wa.simulate_terminal, wa.simulate_terminal_generic):
+        with pytest.raises(me.ParameterError, match="^seed must be nonnegative, got -1$"):
+            walk(co.kendall(1.0), me.uniform(0, 1), 2, 3, seed=-1)
+    with pytest.raises(me.ParameterError, match="^seed must be nonnegative, got -1$"):
+        wa.simulate(co.kendall(1.0), me.uniform(0, 1), 2, seed=-1)
     with pytest.raises(me.ParameterError):
         co.kingman(-0.6)
 

@@ -286,10 +286,25 @@ LOM_PAIR = wi.kendall_pair(me.lom_kendall(1.0, 1.0), 1.0)
     lambda: wi.transform_form1(me.uniform(0, 1), 1.0, math.nan),
     lambda: wi.transform_form2(me.uniform(0, 1), 1.0, math.inf),
     lambda: wi.williamson_transform(me.uniform(0, 1), 1.0, [0.5, math.nan]),
+    lambda: wi.williamson_transform(me.lom_kendall(1.0, 1.0), math.nan, 0.5),
+    lambda: wi.transform_form1(me.lom_kendall(1.0, 1.0), math.nan, 0.5),
+    lambda: wi.kendall_pair(me.table([(1.0, 0.5)], [(0.0, 0.0), (2.0, 0.5)]), math.nan).H(2.0),
+    lambda: wi.kendall_pair(me.lom_kendall(1.0, 1.0), math.inf).H(2.0),
 ], ids=["atom_u", "atom_lam", "atom_t", "n_step_u", "compound_u", "form1_t", "form2_t",
-        "transform_t"])
+        "transform_t", "transform_alpha", "form1_alpha", "pair_alpha_nan", "pair_alpha_inf"])
 def test_williamson_entry_points_reject_non_finite_numbers(call):
     with pytest.raises(me.ParameterError, match="must be finite"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wi.transform_form2(me.lom_kendall(1.0, 1.0), -1.0, 0.5),
+    lambda: wi.williamson_invert(LOM_PAIR.H, 0.0, 1.0),
+    lambda: wi.shifted_n_step_cdf(0.5, LOM_PAIR, 2, [math.nan, 1.0]),
+    lambda: wi.compound_cdf(LOM_PAIR, 1.0, 1.0, math.nan),
+], ids=["form2_alpha", "invert_alpha", "n_step_t_nan", "compound_x_nan"])
+def test_williamson_entry_points_reject_numbers_that_are_not_positive(call):
+    with pytest.raises(me.ParameterError, match="must be positive"):
         call()
 
 
