@@ -25,12 +25,20 @@ import scipy
 
 from . import __version__
 from .convolutions import algebra_from_json, char_fn, convolve_points, dilate
-from .measures import ParameterError, UnsupportedLawError, _check_finite, distribution_from_json
+from .measures import (
+    ParameterError,
+    UnsupportedLawError,
+    _check_finite,
+    _check_nonnegative,
+    _check_positive,
+    distribution_from_json,
+)
 from .risk import RiskModel, safety_condition_kendall, safety_condition_max
 from .ruin import (
     CertainRuinError,
     RuinEstimate,
     _absolutely_continuous,
+    _check_confidence,
     alpha_ruin_grid,
     has_max_closed_form,
     max_ruin_closed,
@@ -239,6 +247,12 @@ def _ruin_one(model: RiskModel, method: str, u: float, args) -> RuinEstimate:
 
 
 def _cmd_ruin(args, out: Path) -> dict:
+    # every route checks the run options, so none echoes an invalid one into its meta
+    _check_positive(paths=args.paths, horizon=args.horizon)
+    if args.steps < 2:
+        raise _ValidationError(f"steps must be >= 2, got {args.steps}")
+    _check_nonnegative(seed=args.seed)
+    _check_confidence(args.confidence)
     model = _load_model(args.model)
     if args.method != "auto":
         method = args.method

@@ -122,7 +122,8 @@ def kendall_type(p: float, c: Optional[float] = None) -> ConvolutionAlgebra:
 def kernel(alg: ConvolutionAlgebra, t) -> float | np.ndarray:
     """Kernel Omega(t) of the algebra's generalized characteristic function."""
     t = _as_array(t)
-    if np.any(t < 0):
+    # written so that NaN fails the test too
+    if not np.all(t >= 0):
         raise ParameterError("kernel argument must be nonnegative")
     k = alg.kind
     if k == "classical":

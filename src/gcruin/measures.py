@@ -136,7 +136,7 @@ class Distribution:
             rng = np.random.default_rng(seed)
         u = rng.random(n)
         # keep u away from the open-interval endpoints
-        u = np.clip(u, 1e-16, 1.0 - 1e-16)
+        np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
         return np.atleast_1d(self.quantile(u))
 
     def mean(self) -> float:

@@ -126,10 +126,14 @@ def _volterra_grid(F_of_U_alpha: Distribution, gamma: float, beta_alpha: float,
     k = 1.0 - np.asarray(F_of_U_alpha.cdf(z), dtype=float)
     delta = np.empty(steps + 1)
     delta[0] = 1.0 - rho
+    # rev[steps - j] = delta[j], so delta[i-1], ..., delta[1] is the contiguous
+    # slice rev[steps-i+1:steps] (a reversed view of delta would be copied)
+    rev = np.empty(steps + 1)
+    rev[steps] = delta[0]
     denom = 1.0 - 0.5 * q * h * k[0]
     for i in range(1, steps + 1):
-        inner = float(np.dot(k[1:i], delta[i - 1:0:-1])) if i > 1 else 0.0
-        delta[i] = (1.0 - rho + q * h * (inner + 0.5 * k[i] * delta[0])) / denom
+        inner = float(np.dot(k[1:i], rev[steps - i + 1:steps])) if i > 1 else 0.0
+        delta[i] = rev[steps - i] = (1.0 - rho + q * h * (inner + 0.5 * k[i] * delta[0])) / denom
     return SurvivalGrid(z, np.clip(delta, 0.0, 1.0))
 
 

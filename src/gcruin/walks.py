@@ -61,11 +61,6 @@ class WalkPath:
     steps: tuple[float, ...] = ()
 
 
-def _pareto_2alpha_draws(rng: np.random.Generator, alpha: float, n: int) -> np.ndarray:
-    # inverse CDF of 1 - x^(-2 alpha) on [1, oo)
-    return np.power(1.0 - rng.random(n), -1.0 / (2.0 * alpha))
-
-
 def apply_step_batch(alg: ConvolutionAlgebra, x: np.ndarray, u: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
     """Vectorized draw of X' ~ delta_x <> delta_u for each (x, u) pair.
@@ -88,14 +83,24 @@ def apply_step_batch(alg: ConvolutionAlgebra, x: np.ndarray, u: np.ndarray,
         return np.where(plus, x + u, np.abs(x - u))
     if k == "kendall":
         # keep M = max(x, u) with probability 1 - (min/max)^a, else jump to
-        # M * pi with pi a Pareto(2a) catalyzer draw >= 1
+        # M * pi with pi = (1 - v)^(-1/(2a)) a Pareto(2a) catalyzer draw >= 1.
+        # Both uniforms are drawn for every path; pi is computed only on the
+        # rows that jump.  A NaN ratio, 0/0 at x = u = 0 or inf/inf, keeps M:
+        # 0 stays 0 even where pi overflows, and inf * pi would be inf anyway.
         a = alg.alpha
         xi = rng.random(n)
-        pi = _pareto_2alpha_draws(rng, a, n)
-        big = np.maximum(x, u)
-        small = np.minimum(x, u)
-        rho = np.power(np.divide(small, big, out=np.zeros(n), where=big > 0), a)
-        return np.where(xi >= rho, big, big * pi)
+        v = rng.random(n)
+        big = np.maximum(x, u, dtype=float)
+        rho = np.minimum(x, u, dtype=float)
+        with np.errstate(invalid="ignore"):
+            np.divide(rho, big, out=rho)
+        np.power(rho, a, out=rho)
+        jump = np.flatnonzero(xi < rho)
+        pi = v[jump]
+        np.subtract(1.0, pi, out=pi)
+        np.power(pi, -1.0 / (2.0 * a), out=pi)
+        big[jump] *= pi
+        return big
     if k == "kingman":
         a = alg.s + 0.5
         theta = 2.0 * rng.beta(a, a, n) - 1.0
@@ -187,7 +192,7 @@ def _terminal_walk(alg: ConvolutionAlgebra, step_law: Distribution, paths: int,
         x = np.full(hi - lo, float(start))
         for k in range(1, int(steps.max(initial=0)) + 1):
             moved = apply_step_batch(alg, x, step_law.sample(hi - lo, rng), rng)
-            x = np.where(k <= steps, moved, x)
+            np.copyto(x, moved, where=k <= steps)
         out[lo:hi] = x
     return out
 

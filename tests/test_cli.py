@@ -146,6 +146,21 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, data_file):
     assert not (tmp_path / data_file).exists()
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--confidence", "1.5"], "confidence must lie in (0, 1), got 1.5"),
+    (["--paths", "-5", "--horizon", "0", "--seed", "-3"], "paths must be positive, got -5"),
+    (["--horizon", "0"], "horizon must be positive, got 0"),
+    (["--steps", "1"], "steps must be >= 2, got 1"),
+], ids=["confidence", "paths_horizon_seed", "horizon", "steps"])
+def test_ruin_checks_run_options_on_every_route(tmp_path, capsys, options, message):
+    # the alpha model is solved by Volterra, which uses none of these options
+    assert cli.main(["--out", str(tmp_path), "ruin", "--model", ALPHA_MODEL, "--u", "1",
+                     *options]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "ruin.csv").exists()
+    assert not (tmp_path / "ruin_meta.json").exists()
+
+
 def test_python_m_gcruin_reports_errors_without_a_traceback(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}

@@ -40,6 +40,13 @@ def test_kernel_at_zero_is_one():
         assert co.kernel(alg, 0.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, [0.5, math.nan], -1.0])
+def test_kernel_rejects_nan_and_negative_arguments(t):
+    for alg in all_algebras():
+        with pytest.raises(me.ParameterError, match="^kernel argument must be nonnegative$"):
+            co.kernel(alg, t)
+
+
 def test_kingman_kernel_matches_bessel_and_is_continuous_at_zero():
     from scipy import special
     s = 0.7

@@ -257,6 +257,21 @@ TERMINAL_GRID_SHA256 = {
     },
 }
 
+#: Kendall alpha = 0.5 walks under a step law with an atom at 0, CHUNK + 9
+#: paths from start 0: per seed, the sha256 of the simulate_terminal (4 steps)
+#: and mc_poisson_terminal (lam t = 3) terminals, concatenated.  The table
+#: law's bisection quantile puts the atom at 2^-200, so its pairs meet at
+#: x = u and always jump; point_mass(0) steps meet at x = u = 0 exactly and
+#: must stay at +0.0.  Captured before the Kendall step evaluated its Pareto
+#: factor only on the rows that jump.
+ZERO_ATOM = me.table([(0.0, 0.5)], [(0.0, 0.0), (1.0, 0.5)])
+ZERO_ATOM_TERMINAL_SHA256 = {
+    0: "67df81b7bf264b1085c3d05b7edcf8b94d83f6417faeb2ebe44f53caec4f0c12",
+    1: "4b0a048fe38ab1a847c21112f78118ec78bfa9c47fbccd09856c6544d73a0ce6",
+    2: "c582fcac24585ccfa1f79cf2b0d0efca18d116dbbac97924b4f227ed0c879c44",
+    3: "0c7b18761b2bdf80d9831c763ab46332f9071198684174ed8aef28542b579b4f",
+}
+
 CLI_SHA256 = {
     "walk": "8627b08d7b8b9e4ef59bc485eb64b8d6b0ed25ee69a0b43de76d12b18e031cfa",
     "ruin_mc": "422fbcbed6826de76bbc666a131b0ce63c98504c65d718da825d6a3b59dc00c5",
@@ -774,6 +789,12 @@ def test_chunked_terminals(seed):
         idle = ri.mc_poisson_terminal(alg, STEP, 2.0, 0.0, wa.CHUNK + 9, seed=seed, start=0.7)
         np.testing.assert_array_equal(idle, np.full(wa.CHUNK + 9, 0.7))
     assert got == TERMINAL_GRID_SHA256[seed]
+    alg = co.kendall(0.5)
+    for law, want in ((ZERO_ATOM, ZERO_ATOM_TERMINAL_SHA256[seed]),
+                      (me.point_mass(0.0), digest(np.zeros(2 * (wa.CHUNK + 9))))):
+        runs = (wa.simulate_terminal(alg, law, 4, wa.CHUNK + 9, seed=seed),
+                ri.mc_poisson_terminal(alg, law, 2.0, 1.5, wa.CHUNK + 9, seed=seed))
+        assert digest(np.concatenate(runs)) == want
 
 
 KENDALL_MODEL = json.dumps({

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gcruin import convolutions as co
@@ -21,6 +23,51 @@ def test_kendall_step_trivial_cases():
     # x = u: rho = 1, always the Pareto branch
     assert np.all(move(1.0, 1.0) > 1.0)
     assert np.all(move(0.0, 0.0) == 0.0)
+
+
+def kendall_step_reference(alpha, x, u, rng):
+    """The Kendall step with the Pareto factor drawn and applied on every row."""
+    n = x.shape[0]
+    xi = rng.random(n)
+    pi = np.power(1.0 - rng.random(n), -1.0 / (2.0 * alpha))
+    big = np.maximum(x, u)
+    small = np.minimum(x, u)
+    rho = np.power(np.divide(small, big, out=np.zeros(n), where=big > 0), alpha)
+    return np.where(xi >= rho, big, big * pi)
+
+
+#: states at the edges of the Kendall step: x = u = 0, the smallest normal
+#: scale, jumps that overflow to inf, and inf itself
+kendall_state = st.one_of(
+    st.sampled_from([0.0, 1e-300, 1.0, 1e300, 1e308, np.finfo(float).max, math.inf]),
+    st.floats(0.0, 10.0),
+)
+kendall_pairs = st.lists(st.one_of(st.tuples(kendall_state, kendall_state),
+                                   kendall_state.map(lambda v: (v, v))),
+                         min_size=1, max_size=200)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate, Phase.shrink))
+@given(alpha=st.sampled_from([0.3, 1.0, 1.7]), pairs=kendall_pairs,
+       seed=st.integers(0, 2**32 - 1))
+@example(alpha=0.3, pairs=[(0.0, 0.0), (1e-300, 1e-300), (1e300, 1e300), (2.0, 1.0),
+                           (np.finfo(float).max, np.finfo(float).max), (math.inf, math.inf)],
+         seed=0)
+# alpha = 0.001: pi = (1 - v)^-500 overflows for v > 0.76, so a step that
+# jumped at x = u = 0 would give 0 * inf = NaN where the reference keeps 0
+@example(alpha=0.001, pairs=[(0.0, 0.0)] * 16 + [(1.0, 1.0)] * 4, seed=1)
+def test_kendall_step_is_the_two_branch_step_bit_for_bit(alpha, pairs, seed):
+    # the step computes the Pareto factor only where the walk jumps; values
+    # and the generator's state must be those of the step that computed it
+    # on every row
+    x, u = (np.array(side) for side in zip(*pairs))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = wa.apply_step_batch(co.kendall(alpha), x, u, rng)
+        want = kendall_step_reference(alpha, x, u, ref_rng)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_kendall_step_distribution_matches_point_convolution():
