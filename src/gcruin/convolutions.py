@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
+from scipy import integrate, special
 
 from .measures import (
     Distribution,
     ParameterError,
+    QUAD_TOL,
     _as_array,
     _check_finite,
     _check_nonnegative,
@@ -458,8 +459,18 @@ def _kendall_type_point_convolution(alg: ConvolutionAlgebra, x: float, y: float,
 # ---------------------------------------------------------------------------
 
 def char_fn(alg: ConvolutionAlgebra, d: Distribution, t: float) -> float:
-    """Phi_d(t) = E Omega(X t); compact-support kernels vanish past X = 1/t."""
+    """Phi_d(t) = E Omega(X t); compact-support kernels vanish past X = 1/t.
+
+    The cos kernel against a heavy-tailed density, whose slow decay exhausts
+    a plain quadrature's subdivisions, integrates over the whole tail with
+    the Fourier weight cos(t x).
+    """
     _check_nonnegative(t=t)
+    heavy = d.density is not None and math.isfinite(d.tail_index)
+    if alg.kind == "symmetric" and t > 0 and heavy:
+        val, _ = integrate.quad(lambda x: float(d.density(np.array([x]))[0]), d.support_lower,
+                                math.inf, weight="cos", wvar=t, epsabs=QUAD_TOL)
+        return sum(m * math.cos(loc * t) for loc, m in d.atoms) + val
     compact = t > 0 and alg.kind in ("max", "kendall", "kendall_type")
     return d.expect(lambda z: float(kernel(alg, z * t)), 1.0 / t if compact else math.inf)
 

@@ -9,6 +9,7 @@ seeded uniform stream, so a (seed, n) pair always reproduces the same draws.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -72,6 +73,19 @@ def _check_positive(**params) -> None:
     for name, value in params.items():
         if value is not None and value <= 0:
             raise ParameterError(f"{name} must be positive, got {value}")
+
+
+def _check_integer(**params) -> None:
+    """Raise ParameterError unless each named value is an integer.
+
+    Run sizes (path, step and claim counts) size arrays and ranges, so every
+    float is rejected, an integral one too, and with it NaN and inf.
+    """
+    for name, value in params.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ParameterError(f"{name} must be an integer, got {value}") from None
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,14 @@ from .measures import (
     ParameterError,
     QUAD_TOL,
     UnsupportedLawError,
+    _check_integer,
     _check_nonnegative,
     _check_positive,
     moment_alpha,
     power_transform,
 )
 from .risk import RiskModel, _alpha_model_scale, _is_alpha_model
-from .walks import _check_poisson_mean, apply_step_batch, chunk_streams
+from .walks import _check_poisson_mean, apply_step_batch, map_chunks
 
 __all__ = [
     "CertainRuinError",
@@ -115,6 +116,7 @@ def _volterra_grid(F_of_U_alpha: Distribution, gamma: float, beta_alpha: float,
                    z_max: float, steps: int, mu: float) -> SurvivalGrid:
     """The solver behind alpha_ruin_volterra, given the claim mean mu."""
     _check_positive(gamma=gamma, beta_alpha=beta_alpha, z_max=z_max)
+    _check_integer(steps=steps)
     if steps < 2:
         raise ParameterError("need steps >= 2")
     q = gamma / beta_alpha
@@ -372,37 +374,33 @@ def _alpha_mc_survival_chunk(model: RiskModel, width: int, horizon: int,
 
 
 def _paired_walk(model: RiskModel, x: np.ndarray, y: np.ndarray,
-                 rng: np.random.Generator, steps: int,
-                 counts: np.ndarray | None = None):
-    """Step the claim walk x against the premium walk y; return (x, y, alive).
+                 rng: np.random.Generator, steps: int):
+    """Step the claim walk x against the premium walk y; return (x, y, ruined_at).
 
-    A path is alive while y > x after each of its steps.  Path i takes
-    `steps` steps, or counts[i] when counts is given; every step still draws
-    full-width samples, so a path's randomness never depends on the others'
-    counts.  The loop stops early once no path can change: all are ruined,
-    or, in the max model, every survivor is above the claim supremum.  The
-    returned x and y are the states at that point.
+    ruined_at[i] is the first claim k after which y > x fails (NaN fails too),
+    or steps + 1 if there is none: path i survives h <= steps claims iff
+    ruined_at[i] > h.  Every step draws full-width samples, so no path's
+    randomness depends on another's.  The loop stops early once no path can
+    change: all are ruined, or, in the max model, every survivor is above
+    the claim supremum; the returned x and y are the states at that point.
     """
     alg = model.algebra
     a_sup = model.claim_law.support_upper
     saturating = alg.kind == "max" and math.isfinite(a_sup)
     alive = np.ones(x.shape[0], dtype=bool)
-    for k in range(1, steps + 1):
-        x_new = apply_step_batch(alg, x, model.claim_law.sample(x.shape[0], rng), rng)
+    # 1 + the claims survived so far (unsigned, as narrow as steps + 1 allows)
+    ruined_at = np.ones(x.shape[0], dtype=np.min_scalar_type(steps + 1))
+    for _ in range(steps):
+        x = apply_step_batch(alg, x, model.claim_law.sample(x.shape[0], rng), rng)
         pu = model.beta * model.premium_law.sample(x.shape[0], rng)
-        y_new = apply_step_batch(alg, y, pu, rng)
-        if counts is None:
-            x, y = x_new, y_new
-            alive &= y > x
-        else:
-            active = k <= counts
-            x = np.where(active, x_new, x)
-            y = np.where(active, y_new, y)
-            alive &= ~active | (y > x)
+        y = apply_step_batch(alg, y, pu, rng)
+        alive &= y > x
+        ruined_at += alive
         undecided = alive & (y <= a_sup) if saturating else alive
         if not undecided.any():
             break
-    return x, y, alive
+    ruined_at[alive] = steps + 1
+    return x, y, ruined_at
 
 
 def mc_ruin(model: RiskModel, horizon_claims: int = 10_000, paths: int = 100_000,
@@ -413,18 +411,20 @@ def mc_ruin(model: RiskModel, horizon_claims: int = 10_000, paths: int = 100_000
     walk at every claim instant.  The finite horizon makes the estimate an
     upper bound on the infinite-horizon survival probability.
     """
+    _check_integer(horizon_claims=horizon_claims, paths=paths)
     if horizon_claims < 1 or paths < 1:
         raise ParameterError("need horizon_claims >= 1 and paths >= 1")
     _check_confidence(confidence)
     fast_alpha = _is_alpha_model(model)
-    survivors = 0
-    for lo, hi, rng in chunk_streams(paths, seed):
+
+    def survived(lo, hi, rng):
         if fast_alpha:
-            alive = _alpha_mc_survival_chunk(model, hi - lo, horizon_claims, rng)
-        else:
-            _, _, alive = _paired_walk(model, np.zeros(hi - lo),
-                                       np.full(hi - lo, float(model.u)), rng, horizon_claims)
-        survivors += int(alive.sum())
+            return _alpha_mc_survival_chunk(model, hi - lo, horizon_claims, rng)
+        _, _, ruined_at = _paired_walk(model, np.zeros(hi - lo), np.full(hi - lo, float(model.u)),
+                                       rng, horizon_claims)
+        return ruined_at > horizon_claims
+
+    survivors = int(map_chunks(survived, paths, seed).sum())
     return _mc_estimate(survivors, paths, confidence, horizon_claims,
                         upper_bound_on_survival=True)
 
@@ -433,16 +433,19 @@ def mc_ruin_finite_t(model: RiskModel, t: float, paths: int = 100_000,
                      seed: int = 0, confidence: float = 0.99) -> RuinEstimate:
     """Ruin by time t: survive the first N claims with N ~ Poisson(lam * t)."""
     _check_positive(t=t)
+    _check_integer(paths=paths)
     if paths < 1:
         raise ParameterError("need paths >= 1")
     _check_confidence(confidence)
     _check_poisson_mean(model.lam * t)
-    survivors = 0
-    for lo, hi, rng in chunk_streams(paths, seed):
+
+    def survived(lo, hi, rng):
         counts = rng.poisson(model.lam * t, hi - lo)
-        _, _, alive = _paired_walk(model, np.zeros(hi - lo), np.full(hi - lo, float(model.u)),
-                                   rng, int(counts.max(initial=0)), counts)
-        survivors += int(alive.sum())
+        _, _, ruined_at = _paired_walk(model, np.zeros(hi - lo), np.full(hi - lo, float(model.u)),
+                                       rng, int(counts.max(initial=0)))
+        return ruined_at > counts
+
+    survivors = int(map_chunks(survived, paths, seed).sum())
     return _mc_estimate(survivors, paths, confidence, f"t={t:g}")
 
 
@@ -484,6 +487,7 @@ def kendall_lambda_recursion_check(v: float, u: float, model: RiskModel,
     if model.algebra.kind != "kendall":
         raise ParameterError("recursion check applies to the kendall algebra")
     _check_nonnegative(v=v, u=u, seed=seed)
+    _check_integer(paths_outer=paths_outer, paths_inner=paths_inner, horizon=horizon)
     if paths_outer < 2 or paths_inner < 1 or horizon < 1:
         raise ParameterError("need paths_outer >= 2, paths_inner >= 1, horizon >= 1")
     _check_confidence(confidence)
@@ -491,9 +495,9 @@ def kendall_lambda_recursion_check(v: float, u: float, model: RiskModel,
 
     starts_v = np.full(paths_outer, float(v))
     starts_u = np.full(paths_outer, float(u))
-    _, _, alive = _paired_walk(model, starts_v, starts_u, np.random.default_rng([seed, 1]),
-                               horizon + 1)
-    lhs = float(alive.mean())
+    _, _, ruined_at = _paired_walk(model, starts_v, starts_u, np.random.default_rng([seed, 1]),
+                                   horizon + 1)
+    lhs = float((ruined_at > horizon + 1).mean())
     se_l = math.sqrt(max(lhs * (1.0 - lhs), 1e-12) / paths_outer)
 
     x1, y1, _ = _paired_walk(model, starts_v, starts_u, np.random.default_rng([seed, 2]), 1)
@@ -502,10 +506,11 @@ def kendall_lambda_recursion_check(v: float, u: float, model: RiskModel,
     if idx.size:
         starts_x = np.repeat(x1[idx], paths_inner)
         starts_y = np.repeat(y1[idx], paths_inner)
-        inner_alive = np.empty(starts_x.shape[0], dtype=bool)
-        for lo, hi, rng in chunk_streams(starts_x.shape[0], seed, width=1 << 20, key=(3,)):
-            _, _, inner_alive[lo:hi] = _paired_walk(model, starts_x[lo:hi], starts_y[lo:hi],
-                                                    rng, horizon)
+
+        def survived(lo, hi, rng):
+            return _paired_walk(model, starts_x[lo:hi], starts_y[lo:hi], rng, horizon)[2] > horizon
+
+        inner_alive = map_chunks(survived, starts_x.shape[0], seed, width=1 << 20, key=(3,))
         cluster[idx] = inner_alive.reshape(idx.size, paths_inner).mean(axis=1)
     rhs = float(cluster.mean())
     se_r = float(cluster.std(ddof=1)) / math.sqrt(paths_outer)

@@ -11,8 +11,8 @@ the specialized recursions.
 Determinism contract: single paths draw their randomness from a per-step
 stream seeded by (seed, step index), so a path restarted from (X_k, seed)
 at step offset k reproduces its suffix exactly.  Every batched Monte Carlo
-routine splits its paths with chunk_streams into fixed-width chunks with
-streams seeded by (seed, chunk index), so results never depend on scheduling.
+routine is one function of a chunk, run by map_chunks over fixed-width
+chunks seeded by (seed, chunk index), so results never depend on scheduling.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .convolutions import ConvolutionAlgebra, _pair_quantile
 from .convolutions import _kendall_type_lambda1, _kendall_type_lambda2
-from .measures import Distribution, ParameterError, _check_nonnegative, _invert_cdf
+from .measures import Distribution, ParameterError, _check_integer, _check_nonnegative, _invert_cdf
 
 __all__ = [
     "CHUNK",
@@ -39,15 +39,15 @@ __all__ = [
 CHUNK = 16384
 
 
-def chunk_streams(paths: int, seed: int, width: int = CHUNK, key: tuple = ()):
-    """Yield (lo, hi, rng) for paths [lo, hi) in chunks of `width`.
+def map_chunks(fn: Callable, paths: int, seed: int, width: int = CHUNK, key: tuple = ()):
+    """Concatenate fn(lo, hi, rng), one value per path, over the chunks of `width` paths in order.
 
     Chunk ci draws from default_rng([seed, *key, ci]); `key` separates
     streams that share a seed.
     """
     _check_nonnegative(seed=seed)
-    for ci, lo in enumerate(range(0, paths, width)):
-        yield lo, min(lo + width, paths), np.random.default_rng([seed, *key, ci])
+    return np.concatenate([fn(lo, min(lo + width, paths), np.random.default_rng([seed, *key, ci]))
+                           for ci, lo in enumerate(range(0, paths, width))])
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,9 @@ def _kendall_type_step_batch(alg: ConvolutionAlgebra, x: np.ndarray, u: np.ndarr
 def _check_walk(start: float, n: int = 0, paths: int = 1, seed: int | None = None) -> None:
     """The one input check of every walk entry point.
 
-    A walk that draws through chunk_streams leaves ``seed`` to it.
+    A walk that draws through map_chunks leaves ``seed`` to it.
     """
+    _check_integer(n=n, paths=paths)
     if n < 0:
         raise ParameterError("n must be >= 0")
     if paths < 1:
@@ -186,15 +187,15 @@ def _terminal_walk(alg: ConvolutionAlgebra, step_law: Distribution, paths: int,
     then makes counts[i] steps.  Every step draws full-width samples, so a
     path's randomness never depends on the other paths' counts.
     """
-    out = np.empty(paths)
-    for lo, hi, rng in chunk_streams(paths, seed):
+    def walk(lo, hi, rng):
         steps = counts(rng, hi - lo)
         x = np.full(hi - lo, float(start))
         for k in range(1, int(steps.max(initial=0)) + 1):
             moved = apply_step_batch(alg, x, step_law.sample(hi - lo, rng), rng)
             np.copyto(x, moved, where=k <= steps)
-        out[lo:hi] = x
-    return out
+        return x
+
+    return map_chunks(walk, paths, seed)
 
 
 def simulate_terminal(alg: ConvolutionAlgebra, step_law: Distribution, n: int,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from gcruin import convolutions as co
 from gcruin import measures as me
@@ -182,6 +183,17 @@ def test_char_fn_at_point_mass_zero():
 def test_char_fn_kendall_uniform():
     val = co.char_fn(co.kendall(1.0), me.uniform(0, 1), 1.0)
     assert val == pytest.approx(0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("t", [0.4, 1.0, 2.5])
+def test_char_fn_cos_kernel_on_heavy_tails(t):
+    # E cos(tX) for X ~ Pareto(2), density 2x^-3 on [1, oo): cos t - t sin t + t^2 Ci(t)
+    pareto = math.cos(t) - t * math.sin(t) + t * t * special.sici(t)[1]
+    assert co.char_fn(co.symmetric(), me.pareto_2alpha(1.0), t) == pytest.approx(pareto, abs=1e-9)
+    # delta_0.5 <> delta_1 under kendall(1): an atom 1/2 at 1 and 1/2 Pareto(2)
+    pair = co.convolve_points(co.kendall(1.0), 0.5, 1.0)
+    assert co.char_fn(co.symmetric(), pair, t) == pytest.approx(0.5 * math.cos(t) + 0.5 * pareto,
+                                                                abs=1e-9)
 
 
 def test_algebra_from_json():

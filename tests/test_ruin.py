@@ -8,6 +8,7 @@ from gcruin import convolutions as co
 from gcruin import measures as me
 from gcruin import risk as ri
 from gcruin import ruin as ru
+from gcruin import walks as wa
 
 # alpha-stable reference configuration: Exp(1) transformed claims, gamma = 1,
 # beta^alpha = 2, for which survival has the closed form 1 - 0.5 e^{-0.5 z}
@@ -318,7 +319,7 @@ def test_mc_ruin_validation(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("simulated before checking confidence")
 
-    monkeypatch.setattr(ru, "chunk_streams", no_draws)
+    monkeypatch.setattr(ru, "map_chunks", no_draws)
     for confidence in (1.5, 0.0, math.nan):
         with pytest.raises(me.ParameterError, match="^confidence must lie in"):
             ru.mc_ruin(max_model(), horizon_claims=2, paths=3, confidence=confidence)
@@ -332,6 +333,78 @@ def test_mc_ruin_finite_t_rejects_counts_past_the_sampler_range(lam, t):
     # a bare numpy ValueError would not match: ParameterError is raised before any draw
     with pytest.raises(me.ParameterError):
         ru.mc_ruin_finite_t(model, t=t, paths=3)
+
+
+def kendall_lom_model(u=1.0):
+    return ri.RiskModel(co.kendall(1.0), KENDALL_LOM, KENDALL_LOM, u=u)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ru.mc_ruin(max_model(), horizon_claims=math.nan),
+     "^horizon_claims must be an integer"),
+    (lambda: ru.mc_ruin(max_model(), horizon_claims=2.0), "^horizon_claims must be an integer"),
+    (lambda: ru.mc_ruin(max_model(), horizon_claims=2, paths=10.5), "^paths must be an integer"),
+    (lambda: ru.mc_ruin_finite_t(max_model(), t=1.0, paths=math.inf), "^paths must be an integer"),
+    (lambda: ru.kendall_lambda_recursion_check(0.0, 1.0, kendall_lom_model(), paths_outer=10.5),
+     "^paths_outer must be an integer"),
+    (lambda: ru.kendall_lambda_recursion_check(0.0, 1.0, kendall_lom_model(), horizon=math.nan),
+     "^horizon must be an integer"),
+    (lambda: ru.alpha_ruin(1.0, alpha_model(), steps=math.nan), "^steps must be an integer"),
+    (lambda: ru.alpha_ruin_volterra(F_EXP, GAMMA, BETA_ALPHA, steps=10.5),
+     "^steps must be an integer"),
+    (lambda: wa.simulate_terminal(co.kendall(1.0), KENDALL_LOM, math.nan, 3),
+     "^n must be an integer"),
+    (lambda: wa.simulate_terminal(co.kendall(1.0), KENDALL_LOM, 2, 3.0),
+     "^paths must be an integer"),
+    (lambda: wa.simulate(co.kendall(1.0), KENDALL_LOM, math.inf), "^n must be an integer"),
+    (lambda: ri.mc_poisson_terminal(co.kendall(1.0), KENDALL_LOM, 1.0, 1.0, paths=math.nan),
+     "^paths must be an integer"),
+    # integers out of range keep their messages
+    (lambda: ru.mc_ruin(max_model(), horizon_claims=0),
+     "^need horizon_claims >= 1 and paths >= 1$"),
+    (lambda: ru.mc_ruin_finite_t(max_model(), t=1.0, paths=0), "^need paths >= 1$"),
+    (lambda: ru.kendall_lambda_recursion_check(0.0, 1.0, kendall_lom_model(), horizon=0),
+     "^need paths_outer >= 2, paths_inner >= 1, horizon >= 1$"),
+    (lambda: ru.alpha_ruin(1.0, alpha_model(), steps=1), "^need steps >= 2$"),
+    (lambda: wa.simulate_terminal(co.kendall(1.0), KENDALL_LOM, -1, 3), "^n must be >= 0$"),
+    (lambda: wa.simulate_terminal(co.kendall(1.0), KENDALL_LOM, 2, 0), "^paths must be >= 1$"),
+], ids=["mc_horizon_nan", "mc_horizon_float", "mc_paths_half", "finite_t_paths_inf",
+        "recursion_paths_outer_half", "recursion_horizon_nan", "alpha_steps_nan",
+        "volterra_steps_half", "terminal_n_nan", "terminal_paths_float", "simulate_n_inf",
+        "poisson_paths_nan", "mc_horizon_0", "finite_t_paths_0", "recursion_horizon_0",
+        "alpha_steps_1", "terminal_n_negative", "terminal_paths_0"])
+def test_run_sizes_are_checked_before_any_draw(call, message, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("simulated before checking the run size")
+
+    monkeypatch.setattr(wa, "map_chunks", no_draws)
+    monkeypatch.setattr(ru, "map_chunks", no_draws)
+    with pytest.raises(me.ParameterError, match=message):
+        call()
+
+
+#: one model per paired-walk survival route: Kendall, saturating max (early
+#: stop above the claim supremum) and Kendall-type; each with its horizon H
+ONE_WALK_MODELS = {
+    "kendall": (ri.RiskModel(co.kendall(1.0), me.lom_kendall(1.0, 1.0), me.lom_kendall(1.0, 1.0),
+                             u=2.0, beta=4.0), 20),
+    "max": (ri.RiskModel(co.max_algebra(), me.uniform(0, 1), me.uniform(0, 2), u=0.5), 50),
+    "kendall_type": (ri.RiskModel(co.kendall_type(3.0), me.uniform(0, 1), me.uniform(0, 2),
+                                  u=1.0), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_WALK_MODELS))
+def test_one_walk_gives_every_shorter_horizon(name):
+    # one chunk: mc_ruin draws it from default_rng([seed, 0])
+    model, horizon = ONE_WALK_MODELS[name]
+    paths, seed = 3000, 5
+    _, _, ruined_at = ru._paired_walk(model, np.zeros(paths), np.full(paths, model.u),
+                                      np.random.default_rng([seed, 0]), horizon)
+    survivors = [int((ruined_at > h).sum()) for h in range(1, horizon + 1)]
+    assert survivors == [round(ru.mc_ruin(model, h, paths, seed).survival * paths)
+                         for h in range(1, horizon + 1)]
+    assert survivors[0] > survivors[-1] > 0
 
 
 # ---------------------------------------------------------------------------

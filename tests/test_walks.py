@@ -131,6 +131,23 @@ def test_chunking_does_not_depend_on_total_path_count():
     np.testing.assert_array_equal(small, big[:wa.CHUNK])
 
 
+@pytest.mark.parametrize("key", [(), (3,)])
+@pytest.mark.parametrize("paths", [wa.CHUNK - 1, wa.CHUNK, wa.CHUNK + 1, 3 * wa.CHUNK + 7])
+def test_map_chunks_concatenates_the_chunk_streams_in_order(paths, key):
+    got = wa.map_chunks(lambda lo, hi, rng: rng.random(hi - lo), paths, 5, key=key)
+    want = [np.random.default_rng([5, *key, ci]).random(min(wa.CHUNK, paths - lo))
+            for ci, lo in enumerate(range(0, paths, wa.CHUNK))]
+    assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_map_chunks_checks_the_seed_before_any_chunk():
+    def fn(lo, hi, rng):
+        raise AssertionError("chunk run before the seed was checked")
+
+    with pytest.raises(me.ParameterError, match="^seed must be nonnegative, got -1$"):
+        wa.map_chunks(fn, 10, -1)
+
+
 def ks_one_sample(draws: np.ndarray, cdf_vals_sorted: np.ndarray) -> float:
     n = len(draws)
     hi = np.max(np.abs(cdf_vals_sorted - np.arange(1, n + 1) / n))
