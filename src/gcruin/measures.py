@@ -130,28 +130,35 @@ class Distribution:
         # written so that NaN fails the test too
         if not np.all((q > 0.0) & (q < 1.0)):
             raise ParameterError("quantile argument must lie in (0, 1)")
-        if self.quantile_fn is not None:
-            out = self.quantile_fn(q)
-        else:
-            out = _invert_cdf(self.cdf_fn, q, self.support_lower, self.support_upper)
-        out = _as_array(out)
+        out = self._quantile_in_range(q)
         if q.ndim == 0:
             return float(out.reshape(-1)[0]) if out.ndim else float(out)
         return out.reshape(q.shape)
 
+    def _quantile_in_range(self, q: np.ndarray) -> np.ndarray:
+        """The quantile at q already known to lie in (0, 1), unchecked and unshaped."""
+        if self.quantile_fn is not None:
+            return _as_array(self.quantile_fn(q))
+        return _as_array(_invert_cdf(self.cdf_fn, q, self.support_lower, self.support_upper))
+
     def sample(self, n: int, seed: int | np.random.Generator = 0) -> np.ndarray:
-        """n i.i.d. draws by inverse-CDF over a seeded uniform stream."""
+        """n i.i.d. draws by inverse-CDF over a seeded uniform stream.
+
+        ``seed`` is an integer or a stream to draw from: a numpy Generator or
+        the row view that a block of a wide Monte Carlo chunk gets.
+        """
         if n < 1:
             raise ParameterError("sample size must be >= 1")
-        if isinstance(seed, np.random.Generator):
+        if hasattr(type(seed), "random"):
             rng = seed
         else:
+            _check_integer(seed=seed)
             _check_nonnegative(seed=seed)
             rng = np.random.default_rng(seed)
         u = rng.random(n)
         # keep u away from the open-interval endpoints
         np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
-        return np.atleast_1d(self.quantile(u))
+        return self._quantile_in_range(u).reshape(u.shape)
 
     def mean(self) -> float:
         return moment_alpha(self, 1.0)

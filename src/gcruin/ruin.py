@@ -486,8 +486,8 @@ def kendall_lambda_recursion_check(v: float, u: float, model: RiskModel,
     """
     if model.algebra.kind != "kendall":
         raise ParameterError("recursion check applies to the kendall algebra")
+    _check_integer(paths_outer=paths_outer, paths_inner=paths_inner, horizon=horizon, seed=seed)
     _check_nonnegative(v=v, u=u, seed=seed)
-    _check_integer(paths_outer=paths_outer, paths_inner=paths_inner, horizon=horizon)
     if paths_outer < 2 or paths_inner < 1 or horizon < 1:
         raise ParameterError("need paths_outer >= 2, paths_inner >= 1, horizon >= 1")
     _check_confidence(confidence)
@@ -504,13 +504,14 @@ def kendall_lambda_recursion_check(v: float, u: float, model: RiskModel,
     cluster = np.zeros(paths_outer)
     idx = np.nonzero(y1 > x1)[0]
     if idx.size:
-        starts_x = np.repeat(x1[idx], paths_inner)
-        starts_y = np.repeat(y1[idx], paths_inner)
+        # inner path i starts from outer path idx[i // paths_inner]
+        live_x, live_y = x1[idx], y1[idx]
 
         def survived(lo, hi, rng):
-            return _paired_walk(model, starts_x[lo:hi], starts_y[lo:hi], rng, horizon)[2] > horizon
+            outer = np.arange(lo, hi) // paths_inner
+            return _paired_walk(model, live_x[outer], live_y[outer], rng, horizon)[2] > horizon
 
-        inner_alive = map_chunks(survived, starts_x.shape[0], seed, width=1 << 20, key=(3,))
+        inner_alive = map_chunks(survived, idx.size * paths_inner, seed, width=1 << 20, key=(3,))
         cluster[idx] = inner_alive.reshape(idx.size, paths_inner).mean(axis=1)
     rhs = float(cluster.mean())
     se_r = float(cluster.std(ddof=1)) / math.sqrt(paths_outer)

@@ -12,7 +12,9 @@ Determinism contract: single paths draw their randomness from a per-step
 stream seeded by (seed, step index), so a path restarted from (X_k, seed)
 at step offset k reproduces its suffix exactly.  Every batched Monte Carlo
 routine is one function of a chunk, run by map_chunks over fixed-width
-chunks seeded by (seed, chunk index), so results never depend on scheduling.
+chunks seeded by (seed, chunk index), so results never depend on scheduling;
+a chunk wider than CHUNK is walked in row blocks whose draws are the block's
+rows of the chunk's own draws, so the results are the same bits.
 """
 
 from __future__ import annotations
@@ -43,11 +45,57 @@ def map_chunks(fn: Callable, paths: int, seed: int, width: int = CHUNK, key: tup
     """Concatenate fn(lo, hi, rng), one value per path, over the chunks of `width` paths in order.
 
     Chunk ci draws from default_rng([seed, *key, ci]); `key` separates
-    streams that share a seed.
+    streams that share a seed.  A chunk wider than CHUNK runs fn on its row
+    blocks of at most CHUNK paths, each with a _RowView of the chunk's
+    stream, so fn must draw only rng.random(hi - lo) and give each path a
+    value that depends on its own rows of those draws alone.
     """
+    _check_integer(seed=seed)
     _check_nonnegative(seed=seed)
-    return np.concatenate([fn(lo, min(lo + width, paths), np.random.default_rng([seed, *key, ci]))
-                           for ci, lo in enumerate(range(0, paths, width))])
+    return np.concatenate([out for ci, lo in enumerate(range(0, paths, width))
+                           for out in _row_blocks(fn, lo, min(lo + width, paths),
+                                                  np.random.default_rng([seed, *key, ci]))])
+
+
+def _row_blocks(fn: Callable, lo: int, hi: int, rng: np.random.Generator) -> list:
+    """fn on the chunk [lo, hi): whole if at most CHUNK wide, else block by block."""
+    if hi - lo <= CHUNK:
+        return [fn(lo, hi, rng)]
+    state = rng.bit_generator.state
+    out = []
+    for b in range(lo, hi, CHUNK):
+        rng.bit_generator.state = state
+        out.append(fn(b, min(b + CHUNK, hi), _RowView(rng, hi - lo, b - lo, min(CHUNK, hi - b))))
+    return out
+
+
+class _RowView:
+    """Rows [b, b + n) of a chunk's stream, for the block of a wide chunk.
+
+    The k-th random(n) returns rows [b, b + n) of the chunk's k-th
+    random(width): the PCG64 stream skips the b rows before the block and
+    the width - b - n rows after it, in O(log width) each.  No other draw
+    has a row-wise equivalent, so any other size or method raises.
+    """
+
+    __slots__ = ("_rng", "_width", "_b", "_n")
+
+    def __init__(self, rng: np.random.Generator, width: int, b: int, n: int):
+        self._rng, self._width, self._b, self._n = rng, width, b, n
+
+    def random(self, size=None) -> np.ndarray:
+        if size != self._n:
+            raise ParameterError(f"a row block of {self._n} paths draws random({self._n}), "
+                                 f"got random({size})")
+        bits = self._rng.bit_generator
+        bits.advance(self._b)
+        out = self._rng.random(size)
+        bits.advance(self._width - self._b - size)
+        return out
+
+    def __getattr__(self, name):
+        raise ParameterError(f"a row block of {self._n} paths draws random({self._n}) only, "
+                             f"not {name}")
 
 
 @dataclass(frozen=True)
@@ -140,6 +188,8 @@ def _check_walk(start: float, n: int = 0, paths: int = 1, seed: int | None = Non
     A walk that draws through map_chunks leaves ``seed`` to it.
     """
     _check_integer(n=n, paths=paths)
+    if seed is not None:
+        _check_integer(seed=seed)
     if n < 0:
         raise ParameterError("n must be >= 0")
     if paths < 1:

@@ -199,6 +199,33 @@ RECURSION_CHECK = {
     ),
 }
 
+#: the recursion check with about 1.16e6 inner paths: one full 2^20-path chunk
+#: and a second one whose last CHUNK-row block is ragged; captured before wide
+#: chunks were walked in row blocks
+RECURSION_CHECK_WIDE = {
+    0: (
+        "0x1.c624dd2f1a9fcp-1", "0x1.c476bab915a77p-1",
+        "0x1.ae227604f8500p-9", "-0x1.c39400210e71cp-7",
+        "0x1.4d529d91c54cep-6",
+    ),
+    1: (
+        "0x1.ca3d70a3d70a4p-1", "0x1.c4c55f61d6fc4p-1",
+        "0x1.5e04508003800p-7", "-0x1.82da7333512e8p-8",
+        "0x1.bebaed4cd7cbap-6",
+    ),
+    2: (
+        "0x1.bf258bf258bf2p-1", "0x1.c2fc962fc9630p-1",
+        "-0x1.eb851eb851f00p-8", "-0x1.a0af7a609924dp-6",
+        "0x1.55d9d608e059ap-7",
+    ),
+    3: (
+        "0x1.c8dfea27983c1p-1", "0x1.c51f601797cc3p-1",
+        "0x1.e045080037f00p-8", "-0x1.35b6f087ab410p-7",
+        "0x1.8afdfc43f1988p-6",
+    ),
+}
+
+
 POISSON_TERMINAL_SHA256 = {
     0: "a017fce8001c2639948ce8894fc62e629ff817e2e610984a2e8707bf384384db",
     1: "f2f5834ffefc7bb4d0ab803b977d2e81b43b893d4765637b12be4bcc1e8cc450",
@@ -767,6 +794,14 @@ def test_recursion_check(seed):
                                            paths_inner=50, horizon=4, seed=seed)
     got = (rc.lhs, rc.rhs, rc.residual, rc.ci_low, rc.ci_high)
     assert hexes(got) == RECURSION_CHECK[seed]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_recursion_check_across_wide_chunks(seed):
+    rc = ru.kendall_lambda_recursion_check(0.5, 2.0, MC_MODELS["kendall"], paths_outer=3000,
+                                           paths_inner=400, horizon=3, seed=seed)
+    got = (rc.lhs, rc.rhs, rc.residual, rc.ci_low, rc.ci_high)
+    assert hexes(got) == RECURSION_CHECK_WIDE[seed]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

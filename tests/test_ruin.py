@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -383,6 +384,25 @@ def test_run_sizes_are_checked_before_any_draw(call, message, monkeypatch):
         call()
 
 
+def no_chunk(lo, hi, rng):
+    raise AssertionError("chunk run before the seed was checked")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: me.uniform(0, 1).sample(3, 1.5),
+    lambda: me.uniform(0, 1).sample(3, math.nan),
+    lambda: wa.map_chunks(no_chunk, 5, 1.5),
+    lambda: wa.simulate_terminal(co.kendall(1.0), KENDALL_LOM, 2, 3, seed=2.5),
+    lambda: wa.simulate(co.kendall(1.0), KENDALL_LOM, 2, seed=2.0),
+    lambda: ru.mc_ruin(max_model(), horizon_claims=2, paths=3, seed=1.5),
+    lambda: ru.kendall_lambda_recursion_check(0.0, 1.0, kendall_lom_model(), paths_outer=10,
+                                              paths_inner=5, horizon=2, seed=1.5),
+], ids=["sample", "sample_nan", "map_chunks", "terminal", "simulate", "mc_ruin", "recursion"])
+def test_seeds_must_be_integers(call):
+    with pytest.raises(me.ParameterError, match="^seed must be an integer, got"):
+        call()
+
+
 #: one model per paired-walk survival route: Kendall, saturating max (early
 #: stop above the claim supremum) and Kendall-type; each with its horizon H
 ONE_WALK_MODELS = {
@@ -438,6 +458,20 @@ def test_recursion_check_validation():
         with pytest.raises(me.ParameterError):
             ru.kendall_lambda_recursion_check(0.0, 1.0, model, paths_outer=10, paths_inner=5,
                                               horizon=2, **kwargs)
+
+
+def test_recursion_check_memory_does_not_grow_with_the_inner_paths():
+    # about 1e6 inner paths in one 2^20-path chunk, walked in CHUNK-row blocks:
+    # the traced peak is the output's bytes, not 1e6-wide starts and steps
+    model = kendall_lom_model()
+    tracemalloc.start()
+    try:
+        ru.kendall_lambda_recursion_check(1.0, 3.0, model, paths_outer=2000, paths_inner=512,
+                                          horizon=4, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 KENDALL_LOM = me.lom_kendall(1.0, 1.0)

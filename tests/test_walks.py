@@ -131,13 +131,49 @@ def test_chunking_does_not_depend_on_total_path_count():
     np.testing.assert_array_equal(small, big[:wa.CHUNK])
 
 
+#: a chunk width walked in row blocks: three full blocks and a 5-row one
+WIDE = 3 * wa.CHUNK + 5
+
+
 @pytest.mark.parametrize("key", [(), (3,)])
-@pytest.mark.parametrize("paths", [wa.CHUNK - 1, wa.CHUNK, wa.CHUNK + 1, 3 * wa.CHUNK + 7])
-def test_map_chunks_concatenates_the_chunk_streams_in_order(paths, key):
-    got = wa.map_chunks(lambda lo, hi, rng: rng.random(hi - lo), paths, 5, key=key)
-    want = [np.random.default_rng([5, *key, ci]).random(min(wa.CHUNK, paths - lo))
-            for ci, lo in enumerate(range(0, paths, wa.CHUNK))]
+@pytest.mark.parametrize("paths, width", [
+    *(pytest.param(p, wa.CHUNK, id=str(p))
+      for p in (wa.CHUNK - 1, wa.CHUNK, wa.CHUNK + 1, 3 * wa.CHUNK + 7)),
+    # two full wide chunks and a ragged last one, itself two blocks wide
+    pytest.param(2 * WIDE + wa.CHUNK + 9, WIDE, id="wide"),
+])
+def test_map_chunks_concatenates_the_chunk_streams_in_order(paths, width, key):
+    got = wa.map_chunks(lambda lo, hi, rng: rng.random(hi - lo), paths, 5, width=width, key=key)
+    want = [np.random.default_rng([5, *key, ci]).random(min(width, paths - lo))
+            for ci, lo in enumerate(range(0, paths, width))]
     assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_map_chunks_row_blocks_repeat_every_draw_of_a_wide_chunk():
+    # odd blocks draw twice and keep the second draw, as a block that stops
+    # early beside one that walks on: every block starts from the chunk's
+    # stream, and its k-th draw is its rows of the chunk's k-th draw
+    def fn(lo, hi, rng):
+        for _ in range(1 + (lo // wa.CHUNK) % 2):
+            out = rng.random(hi - lo)
+        return out
+
+    got = wa.map_chunks(fn, WIDE, 5, width=WIDE)
+    rng = np.random.default_rng([5, 0])
+    draws = [rng.random(WIDE), rng.random(WIDE)]
+    want = np.concatenate([draws[(lo // wa.CHUNK) % 2][lo:lo + wa.CHUNK]
+                           for lo in range(0, WIDE, wa.CHUNK)])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, n: rng.poisson(1.0, n),
+    lambda rng, n: rng.beta(2.0, 2.0, n),
+    lambda rng, n: rng.random(n + 1),
+], ids=["poisson", "beta", "random_n_plus_1"])
+def test_map_chunks_wide_chunk_blocks_draw_only_their_rows(draw):
+    with pytest.raises(me.ParameterError, match="^a row block of 16384 paths draws random"):
+        wa.map_chunks(lambda lo, hi, rng: draw(rng, hi - lo), WIDE, 5, width=WIDE)
 
 
 def test_map_chunks_checks_the_seed_before_any_chunk():
