@@ -37,7 +37,6 @@ from .risk import RiskModel, safety_condition_kendall, safety_condition_max
 from .ruin import (
     CertainRuinError,
     RuinEstimate,
-    _absolutely_continuous,
     _check_confidence,
     alpha_ruin_grid,
     has_max_closed_form,
@@ -218,11 +217,8 @@ def _cmd_safety(args, out: Path) -> dict:
 def _auto_method(model: RiskModel) -> str:
     if model.algebra.kind == "alpha_stable":
         return "volterra"
-    if has_max_closed_form(model):
-        return "closed"
-    if (model.algebra.kind == "max" and _absolutely_continuous(model.claim_law)
-            and _absolutely_continuous(model.premium_law)):
-        return "ode"
+    if model.algebra.kind == "max":
+        return "closed" if has_max_closed_form(model) else "ode"
     return "mc"
 
 

@@ -350,8 +350,8 @@ def table(atoms: Sequence[tuple[float, float]],
 
     ``cdf_points`` lists (x, C(x)) for the continuous part only; C must be
     nondecreasing from C = 0 (a jump belongs in ``atoms``).  Its density is
-    the piecewise-constant slope of C.  Total mass (atoms + continuous) must
-    be 1 within 1e-10.
+    the piecewise-constant slope of C, which jumps at the knots x kept in
+    ``params["knots"]``.  Total mass (atoms + continuous) must be 1 within 1e-10.
     """
     atoms = tuple((float(x), float(m)) for x, m in atoms)
     xs = np.array([p[0] for p in cdf_points], dtype=float)
@@ -398,7 +398,8 @@ def table(atoms: Sequence[tuple[float, float]],
         tops.append(float(xs[np.argmax(cs == cont_mass)]))
     hi = max(tops)
     lo = min([x for x, _ in atoms] + ([float(xs[0])] if xs.size else [hi]))
-    return Distribution(atoms, cdf, None, density, hi, lo, family="table", params={})
+    return Distribution(atoms, cdf, None, density, hi, lo, family="table",
+                        params={"knots": tuple(xs.tolist())})
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +505,7 @@ def power_transform(d: Distribution, alpha: float) -> Distribution:
         return d.cdf(np.power(np.maximum(z, 0.0), inv))
 
     def quantile(q):
-        base = d.quantile(q)
-        return np.power(_as_array(base), alpha)
+        return np.power(d._quantile_in_range(q), alpha)
 
     density = None
     if d.density is not None:

@@ -1,9 +1,9 @@
 """Ruin and survival probabilities for the generalized risk models.
 
 Analytic solvers: a Volterra product-integration scheme for the alpha-stable
-model (survival in the z = u^alpha scale), an exact log-derivative quadrature
-for the max model with absolutely continuous laws, and the 0/1 classification
-for the max model under a point-mass premium.  Monte Carlo estimation of
+model (survival in the z = u^alpha scale), and one product integral for the
+max model under every pair of claim and premium laws, atoms included, with the
+closed forms (point premiums, uniform pairs) as its oracle.  Monte Carlo estimation of
 Q_infinity(u) = P{claim walk ever reaches the premium walk} works for every
 algebra; the Kendall recursion check validates the one-step self-consistency
 of the survival functional by two independent estimators.
@@ -44,7 +44,6 @@ __all__ = [
     "alpha_ruin_grid",
     "max_ruin_ode",
     "max_ruin_integral_residual",
-    "max_ruin_lom",
     "has_max_closed_form",
     "max_ruin_closed",
     "mc_ruin",
@@ -213,89 +212,89 @@ def alpha_ruin_grid(us, model: RiskModel, steps: int = 2000) -> list[RuinEstimat
 
 
 # ---------------------------------------------------------------------------
-# max model: exact quadrature of the log-derivative ODE
+# max model: the product integral of the one-step equation
 # ---------------------------------------------------------------------------
 
-def _absolutely_continuous(d: Distribution) -> bool:
-    """True for the laws the max-model ODE accepts: a density and no atoms."""
-    return not d.atoms and d.density is not None
+def _cuts(d: Distribution) -> tuple[float, ...]:
+    """Where d or its density jumps inside the support: its atoms, and a table's knots."""
+    return (*(v for v, _ in d.atoms), *d.params.get("knots", ()))
 
 
-def _density_or_raise(d: Distribution, name: str):
-    if not _absolutely_continuous(d):
-        raise UnsupportedLawError(f"{name} must be absolutely continuous")
-    return d.density
+def _cdf_below(F: Distribution, y: float) -> float:
+    """F(y-): the cdf at y without the atoms at y."""
+    return float(F.cdf(y)) - sum(m for v, m in F.atoms if v == y)
 
 
 def max_ruin_ode(F: Distribution, G: Distribution, u_grid) -> SurvivalGrid:
-    """Survival for the max model: delta' / delta = G f / (1 - F G) below the
-    claim supremum a, delta = 1 at and above it.
+    """Max-model survival at each capital in u_grid, for any claim law F and
+    premium law G.  From premium level y a step survives iff the claim lies
+    below the new level, so delta(y)(1 - G(y)F(y-)) = int_(y,oo) F(w-) delta(w) dG(w).
 
-    F is the claim law (bounded support required for a nonzero answer), G the
-    premium law.  Unbounded claims give delta = 0 identically, and premiums
-    whose supremum is at most a give delta = 0 below a: the claim walk then
-    passes every level the premium walk can reach.
+    Its product integral: delta = 1 above the claim supremum a, and at u <= a
+    delta(u) = exp(-int_u^a G f / (1 - F G) dy), f the density of F's
+    continuous part, times (1 - G(v)F(v)) / (1 - G(v)F(v-)) over the claim
+    atoms v in [u, a].  Unbounded claims give delta = 0, and so does every
+    level below a when the premiums put no mass at or above a.
     """
-    f = _density_or_raise(F, "claim law")
-    _density_or_raise(G, "premium law")
     u_grid = np.asarray(u_grid, dtype=float)
     if not (np.all((u_grid >= 0) & (u_grid < math.inf)) and np.all(np.diff(u_grid) > 0)):
         raise ParameterError(f"u_grid must be finite, nonnegative and increasing, got {u_grid}")
     a = F.support_upper
     if not math.isfinite(a):
         return SurvivalGrid(u_grid, np.zeros_like(u_grid))
-    if G.support_upper <= a:
-        return SurvivalGrid(u_grid, np.where(u_grid >= a, 1.0, 0.0))
+    f = F.density
+    if f is None and F.atom_mass < 1.0 - 1e-9:
+        raise UnsupportedLawError("the claim law's continuous part needs a density")
+    reaches_a = G.support_upper > a or any(v == a and m > 0 for v, m in G.atoms)
+    cuts = {G.support_lower, G.support_upper, *_cuts(F), *_cuts(G)}
 
-    # F, G < 1 below a < sup G, so the denominator stays positive
+    def jump(v: float) -> float:
+        """delta(v) / delta(v+) at a claim atom v; F(a) = 1 exactly."""
+        g = G.cdf(v)
+        return (1.0 - g * (1.0 if v == a else F.cdf(v))) / (1.0 - g * _cdf_below(F, v))
+
+    jumps = [(v, jump(v)) for v in {v for v, m in F.atoms if m > 0}]
+
+    # the premiums reach a, so F G < 1 on (u, a): the denominator stays positive
     def integrand(y: float) -> float:
         g = float(G.cdf(y))
         return g * float(f(np.array([y]))[0]) / (1.0 - float(F.cdf(y)) * g)
 
     def delta_one(u: float) -> float:
-        if u >= a:
+        if u > a:
             return 1.0
-        pts = sorted({p for p in (G.support_lower, G.support_upper) if u < p < a})
-        val, _ = integrate.quad(integrand, u, a, points=pts or None,
-                                epsabs=1e-12, limit=400)
-        return math.exp(-val)
+        if u < a and not reaches_a:
+            return 0.0
+        val = 0.0
+        if f is not None and u < a:
+            pts = sorted(p for p in cuts if u < p < a)
+            val, _ = integrate.quad(integrand, u, a, points=pts or None, epsabs=1e-12, limit=400)
+        return math.exp(-val) * math.prod(j for v, j in jumps if v >= u)
 
     return SurvivalGrid(u_grid, np.array([delta_one(float(u)) for u in u_grid]))
 
 
 def max_ruin_integral_residual(F: Distribution, G: Distribution, u: float) -> float:
-    """Residual of delta(u) = delta(u) G(u) F(u) + int_u^oo delta(y) F(y) dG(y).
+    """Residual of delta(u)(1 - G(u)F(u-)) = int_(u,oo) F(w-) delta(w) dG(w).
 
-    Independent check of the ODE solution by direct quadrature against the
-    premium law's density.
+    Independent check of max_ruin_ode: the right side is a quadrature against
+    the premium law's density plus a sum over its atoms above u.
     """
-    g = _density_or_raise(G, "premium law")
-    a = F.support_upper
-    b = G.support_upper
+    a, b = F.support_upper, G.support_upper
 
     def delta(y: float) -> float:
         return float(max_ruin_ode(F, G, [y]).delta_values[0])
 
     lhs = delta(u)
-    pts = sorted({p for p in (a, G.support_lower) if u < p < b})
-    integral, _ = integrate.quad(
-        lambda y: delta(y) * float(F.cdf(y)) * float(g(np.array([y]))[0]),
-        u, b, points=pts or None, epsabs=1e-10, limit=400)
-    rhs = lhs * float(G.cdf(u)) * float(F.cdf(u)) + integral
+    integral = 0.0
+    if G.density is not None:
+        pts = sorted({p for p in (a, G.support_lower, *_cuts(F), *_cuts(G)) if u < p < b})
+        integral, _ = integrate.quad(
+            lambda y: delta(y) * float(F.cdf(y)) * float(G.density(np.array([y]))[0]),
+            u, b, points=pts or None, epsabs=1e-10, limit=400)
+    rhs = (lhs * float(G.cdf(u)) * _cdf_below(F, u) + integral
+           + sum(m * _cdf_below(F, w) * delta(w) for w, m in G.atoms if w > u))
     return abs(lhs - rhs)
-
-
-def max_ruin_lom(u: float, a: float, F: Distribution) -> RuinEstimate:
-    """Max model with the point-mass premium delta_a: survival is 0 or 1.
-
-    Survival is certain iff the claim supremum is at most u v a.
-    """
-    _check_nonnegative(u=u)
-    _check_positive(a=a)
-    level = max(u, a)
-    surv = 1.0 if F.support_upper <= level else 0.0
-    return RuinEstimate(surv, 1.0 - surv, method="closed_form",
-                        diagnostics={"level": level, "claim_sup": F.support_upper})
 
 
 def has_max_closed_form(model: RiskModel) -> bool:
@@ -310,17 +309,21 @@ def has_max_closed_form(model: RiskModel) -> bool:
 def max_ruin_closed(u: float, model: RiskModel) -> RuinEstimate:
     """Closed-form max-model survival at capital u, premium steps beta * W.
 
-    A point-mass premium delta_a is max_ruin_lom at beta * a.  Claims uniform
-    on (0, a) against premium steps uniform on (0, b), b = beta * b_W: survival
-    is 1 for u >= a, and below a it is sqrt((1 - a/b) / (1 - u^2/(ab))) when
-    a < b, else 0 (the claim walk passes every level the premiums reach).
+    A point-mass premium delta_b holds the premium level at max(u, beta * b):
+    survival is 1 iff no claim reaches it, else 0.  Claims uniform on (0, a)
+    against premium steps uniform on (0, b), b = beta * b_W: survival is 1 for
+    u >= a, and below a it is sqrt((1 - a/b) / (1 - u^2/(ab))) when a < b,
+    else 0 (the claim walk passes every level the premiums reach).
     """
     if not has_max_closed_form(model):
         raise UnsupportedLawError("no closed form for this max-model law pair")
     _check_nonnegative(u=u)
     F, G = model.claim_law, model.premium_law
     if G.family in ("point", "lom_max"):
-        return max_ruin_lom(u, model.beta * G.params["a"], F)
+        level, sup = max(u, model.beta * G.params["a"]), F.support_upper
+        surv = float(sup <= level and all(v != level for v, m in F.atoms if m > 0))
+        return RuinEstimate(surv, 1.0 - surv, method="closed_form",
+                            diagnostics={"level": level, "claim_sup": sup})
     a, b = F.params["b"], model.beta * G.params["b"]
     if u >= a:
         surv = 1.0

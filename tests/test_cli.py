@@ -11,6 +11,8 @@ import pytest
 import scipy
 
 from gcruin import cli
+from gcruin import measures as me
+from gcruin import ruin as ru
 
 MAX_MODEL = json.dumps({
     "algebra": {"kind": "max"},
@@ -411,18 +413,22 @@ def test_max_auto_solves_atomless_table_laws_by_ode(tmp_path):
                                 abs=1e-8)
 
 
-def test_max_auto_routes_table_laws_with_atoms_to_mc(tmp_path):
-    # a table with atoms and a continuous part has a density, but the ODE
-    # accepts atomless laws only
+def test_max_auto_routes_table_laws_with_atoms_to_ode(tmp_path):
+    # a table with atoms and a continuous part: the product integral solves it
     mixed = {"family": "table", "atoms": [[0.5, 0.3], [2, 0.2]],
              "cdf_points": [[0, 0], [1, 0.25], [3, 0.5]]}
-    for field in ("claim_law", "premium_law"):
+    # as claims they reach 3, past the premium supremum 2: certain ruin
+    for field, between in (("claim_law", False), ("premium_law", True)):
         out = tmp_path / field
         model = _with(MAX_MODEL, **{field: mixed})
-        surv = _survival(out, model, "--u", "0.5", "--paths", "2000", "--horizon", "200")
+        surv = _survival(out, model, "--u", "0.5")
         summary = json.loads((out / "ruin_summary.json").read_text())
-        assert summary["method"] == "mc"
-        assert 0.0 <= surv <= 1.0
+        assert summary["method"] == "ode"
+        laws = json.loads(model)
+        want = ru.max_ruin_ode(me.distribution_from_json(laws["claim_law"]),
+                               me.distribution_from_json(laws["premium_law"]), [0.5])
+        assert surv == pytest.approx(want.delta_values[0], rel=1e-9, abs=1e-12)
+        assert (0.0 < surv < 1.0) == between
 
 
 def test_ode_method_rejects_other_algebras(tmp_path, capsys):

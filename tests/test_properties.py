@@ -1,10 +1,14 @@
-"""Property tests over generated parameters for the laws with a declared heavy tail.
+"""Property tests over generated parameters.
 
 Each law that declares a survival function and a tail index k has E X^r in
 closed form, finite exactly for r < k; ``moment_alpha`` must reproduce it
 without an IntegrationWarning (to 1e-12 relative for the Pareto and Kendall
 pair laws, 1e-10 for the Kendall-type pair law and 1e-9 within 0.1% of its
 edge), and must return inf from r = k on.
+
+On generated ``table`` claim and premium laws, atoms included, the max-model
+solver returns a survival function of the capital: in [0, 1], nondecreasing,
+solving its one-step equation to 1e-9, without an IntegrationWarning.
 """
 
 import math
@@ -13,12 +17,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
 from gcruin import convolutions as co
 from gcruin import measures as me
+from gcruin import ruin as ru
 
 #: few examples, fixed draws: the whole module runs in about a second
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -177,3 +182,38 @@ def test_sf_and_cdf_sum_to_one(a, g, x, y, s, b, p, z):
         # below, at and above the lower end, where the atom of a pair law sits
         pts = np.array([*z, d.support_lower, d.support_lower * (1 + 1e-9), 0.5 * d.support_lower])
         np.testing.assert_allclose(d.sf(pts) + d.cdf(pts), 1.0, rtol=0.0, atol=1e-15)
+
+
+def eighths(top):
+    """A location on the grid of eighths in [0, top]."""
+    return st.integers(0, 8 * top).map(lambda k: k / 8.0)
+
+
+@st.composite
+def table_laws(draw, top):
+    """A table law on [0, top]: up to three atoms and a continuous part of up
+    to two linear pieces, all on the grid of eighths, each atom and piece of
+    weight 0.05 to 1 before normalising."""
+    atoms = draw(st.lists(st.tuples(eighths(top), st.floats(0.05, 1.0)), max_size=3))
+    knots = sorted(set(draw(st.lists(eighths(top), max_size=3))))
+    rises = [draw(st.floats(0.05, 1.0)) for _ in knots[1:]]
+    total = sum(m for _, m in atoms) + sum(rises)
+    assume(total > 0.0)
+    cdf = np.concatenate([[0.0], np.cumsum(rises)]) / total
+    return me.table([(x, m / total) for x, m in atoms], list(zip(knots, cdf)) if rises else ())
+
+
+MAX_GRID = np.linspace(0.0, 3.5, 15)
+
+
+# few examples: each residual solves the model once per quadrature node
+@settings(PROPERTY, max_examples=20)
+@given(claims=table_laws(2), premiums=table_laws(3), u=st.floats(0.0, 2.5))
+def test_max_solver_on_table_pairs(claims, premiums, u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        delta = ru.max_ruin_ode(claims, premiums, MAX_GRID).delta_values
+        residual = ru.max_ruin_integral_residual(claims, premiums, u)
+    assert np.all((delta >= 0.0) & (delta <= 1.0))
+    assert np.all(np.diff(delta) >= -1e-12)
+    assert residual < 1e-9

@@ -192,35 +192,125 @@ def test_max_ruin_ode_premiums_below_claim_supremum(claim_b, want):
     np.testing.assert_array_equal(grid.delta_values, want)
 
 
-def test_max_ruin_ode_rejects_atoms():
-    with pytest.raises(me.UnsupportedLawError):
-        ru.max_ruin_ode(me.point_mass(1.0), me.uniform(0, 2), np.array([0.0, 1.0]))
+def test_max_ruin_ode_solves_atoms():
+    # point claims at 1 against uniform(0, 2) premiums: a claim equal to the
+    # premium level ruins, so every level up to 1 survives iff the first
+    # premium beats 1, with probability 1/2
+    grid = ru.max_ruin_ode(me.point_mass(1.0), me.uniform(0, 2), [0.0, 0.5, 1.0, 1.5])
+    np.testing.assert_allclose(grid.delta_values, [0.5, 0.5, 0.5, 1.0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("claims, premiums, u, want", [
+    # claims 1/2 or 1, premiums uniform(0, 1.5): from 0 the walk survives the
+    # atom at 1/2 with probability 5/6 and then the atom at 1 with 1/2
+    (me.table([(0.5, 0.5), (1.0, 0.5)]), me.uniform(0, 1.5), 0.0, 5.0 / 12.0),
+    (me.table([(0.5, 0.5), (1.0, 0.5)]), me.uniform(0, 1.5), 0.7, 0.5),
+    # point claims at c against uniform(0, b): 1 - c/b up to c
+    (me.point_mass(0.75), me.uniform(0, 3), 0.0, 0.75),
+    (me.point_mass(0.75), me.uniform(0, 3), 0.75, 0.75),
+    (me.point_mass(0.75), me.uniform(0.5, 3), 0.6, 0.9),
+    # premium supremum at the claim atom: certain ruin up to it
+    (me.point_mass(1.0), me.uniform(0, 1), 1.0, 0.0),
+])
+def test_max_ruin_ode_matches_atom_closed_forms(claims, premiums, u, want):
+    assert ru.max_ruin_ode(claims, premiums, [u]).delta_values[0] == pytest.approx(want, abs=1e-12)
+    assert ru.max_ruin_integral_residual(claims, premiums, u) < 1e-9
 
 
 def test_max_ruin_integral_residual():
     assert ru.max_ruin_integral_residual(me.uniform(0, 1), me.uniform(0, 2), 0.25) <= 1e-4
 
 
-def test_max_ruin_lom_classification():
-    # premium = delta_a: survival is certain iff claims never exceed u v a
-    assert ru.max_ruin_lom(0.0, 2.0, me.uniform(0, 1)).survival == 1.0
-    assert ru.max_ruin_lom(0.0, 2.0, me.lom_alpha(1.0, 1.0)).survival == 0.0
-    assert ru.max_ruin_lom(0.9, 0.5, me.uniform(0, 1)).survival == 0.0
-    assert ru.max_ruin_lom(1.5, 0.5, me.uniform(0, 1)).survival == 1.0
+def max_pair(claims, premiums, beta=1.0):
+    return ri.RiskModel(co.max_algebra(), claims, premiums, beta=beta)
+
+
+def test_max_point_premium_classification():
+    # premium = delta_b: survival is certain iff no claim reaches u v b, in the
+    # closed form and in the product integral alike
+    for u, b, claims, want in [(0.0, 2.0, me.uniform(0, 1), 1.0),
+                               (0.0, 2.0, me.lom_alpha(1.0, 1.0), 0.0),
+                               (0.9, 0.5, me.uniform(0, 1), 0.0),
+                               (1.5, 0.5, me.uniform(0, 1), 1.0)]:
+        assert ru.max_ruin_closed(u, max_pair(claims, me.lom_max(b))).survival == want
+        assert ru.max_ruin_ode(claims, me.point_mass(b), [u]).delta_values[0] == want
     with pytest.raises(me.ParameterError):
-        ru.max_ruin_lom(-1.0, 1.0, me.uniform(0, 1))
+        ru.max_ruin_closed(-1.0, max_pair(me.uniform(0, 1), me.lom_max(1.0)))
+    with pytest.raises(me.ParameterError):
+        ru.max_ruin_ode(me.uniform(0, 1), me.point_mass(1.0), [-1.0])
 
 
-def test_max_ruin_lom_decides_by_the_claim_supremum():
+def test_max_point_premium_decides_by_the_claim_supremum():
     # unbounded claims ruin at every level, even where the cdf rounds to 1
-    assert float(me.lom_alpha(1.0, 1.0).cdf(40.0)) == 1.0
-    est = ru.max_ruin_lom(0.0, 40.0, me.lom_alpha(1.0, 1.0))
+    lom = me.lom_alpha(1.0, 1.0)
+    assert float(lom.cdf(40.0)) == 1.0
+    est = ru.max_ruin_closed(0.0, max_pair(lom, me.lom_max(40.0)))
     assert est.survival == 0.0 and est.diagnostics["claim_sup"] == math.inf
-    # no claim exceeds 2, though the table's total mass is 1 - 5e-11
-    est = ru.max_ruin_lom(0.0, 2.0, me.table([(0.5, 0.5), (2.0, 0.5 - 5e-11)]))
-    assert est.survival == 1.0 and est.diagnostics["claim_sup"] == 2.0
+    assert ru.max_ruin_ode(lom, me.point_mass(40.0), [0.0]).delta_values[0] == 0.0
+    # no claim exceeds 2, though the table's total mass is 1 - 5e-11, but the
+    # atom at 2 equals the premium level, and a claim equal to it ruins
+    tab = me.table([(0.5, 0.5), (2.0, 0.5 - 5e-11)])
+    est = ru.max_ruin_closed(0.0, max_pair(tab, me.lom_max(2.0)))
+    assert est.survival == 0.0 and est.diagnostics["claim_sup"] == 2.0
+    assert ru.max_ruin_ode(tab, me.point_mass(2.0), [0.0]).delta_values[0] == 0.0
     # a zero-mass atom at 5 is no claim
-    assert ru.max_ruin_lom(0.0, 2.0, me.table([(0.5, 1.0), (5.0, 0.0)])).survival == 1.0
+    tab = me.table([(0.5, 1.0), (5.0, 0.0)])
+    assert ru.max_ruin_closed(0.0, max_pair(tab, me.lom_max(2.0))).survival == 1.0
+    assert ru.max_ruin_ode(tab, me.point_mass(2.0), [0.0]).delta_values[0] == 1.0
+
+
+def test_max_point_premium_claim_at_the_level_ruins():
+    # claims 1/2 or 2 against premium steps delta_2: the first claim of 2 ties
+    # the premium level, and a tie is ruin (y > x fails)
+    claims = me.table([(0.5, 0.5), (2.0, 0.5)])
+    for u, want in [(0.0, 0.0), (2.0, 0.0), (2.5, 1.0)]:
+        model = ri.RiskModel(co.max_algebra(), claims, me.lom_max(2.0), u=u)
+        assert ru.max_ruin_closed(u, model).survival == want
+        assert ru.max_ruin_ode(claims, me.point_mass(2.0), [u]).delta_values[0] == want
+        assert ru.mc_ruin(model, horizon_claims=200, paths=2000, seed=3).survival == want
+
+
+POINT_PREMIUM_CLAIMS = {
+    "uniform": me.uniform(0, 1), "uniform_half": me.uniform(0.5, 1.5),
+    "point": me.point_mass(1.0), "lom_alpha": me.lom_alpha(1.0, 1.0),
+    "atoms": me.table([(0.5, 0.5), (1.0, 0.5)]),
+    "mixed": me.table([(0.5, 0.3), (1.0, 0.2)], [(0.0, 0.0), (1.0, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("claims", POINT_PREMIUM_CLAIMS.values(), ids=POINT_PREMIUM_CLAIMS.keys())
+@pytest.mark.parametrize("beta", [1.0, 2.5])
+def test_max_ruin_ode_on_a_point_premium_is_the_closed_form(claims, beta):
+    # premium steps beta * delta_b hold the level at max(u, beta b)
+    for b in (0.2, 0.4, 0.5, 0.6, 1.0):
+        model = max_pair(claims, me.point_mass(b), beta)
+        for u in (0.0, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0):
+            grid = ru.max_ruin_ode(claims, co.dilate(me.point_mass(b), beta), [u])
+            assert grid.delta_values[0] == ru.max_ruin_closed(u, model).survival
+
+
+#: claim and premium tables with atoms in both, each premium law with mass
+#: above the claim supremum, so every Monte Carlo path is decided early
+TABLE_PAIRS = {
+    "atoms_and_slopes": (me.table([(0.5, 0.3), (1.0, 0.2)], [(0.0, 0.0), (1.0, 0.5)]),
+                         me.table([(0.8, 0.25)], [(0.0, 0.0), (2.0, 0.75)]), 0.0),
+    "offset_slopes": (me.table([(0.3, 0.4), (0.9, 0.3)], [(0.2, 0.0), (1.0, 0.3)]),
+                      me.table([(0.5, 0.3), (1.5, 0.2)], [(0.0, 0.0), (2.0, 0.5)]), 0.4),
+    "shared_atom": (me.table([(0.5, 0.5), (1.0, 0.5)]),
+                    me.table([(0.25, 0.2), (1.0, 0.3), (1.5, 0.5)]), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_PAIRS))
+def test_max_ruin_ode_table_pairs_match_mc(name):
+    claims, premiums, u = TABLE_PAIRS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = float(ru.max_ruin_ode(claims, premiums, [u]).delta_values[0])
+        assert ru.max_ruin_integral_residual(claims, premiums, u) < 1e-9
+    est = ru.mc_ruin(ri.RiskModel(co.max_algebra(), claims, premiums, u=u),
+                     horizon_claims=400, paths=20_000, seed=7)
+    assert est.ci_low <= exact <= est.ci_high
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.5])
@@ -478,8 +568,10 @@ KENDALL_LOM = me.lom_kendall(1.0, 1.0)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: ru.max_ruin_lom(math.nan, 1.0, me.uniform(0, 1)),
-    lambda: ru.max_ruin_lom(1.0, math.inf, me.uniform(0, 1)),
+    lambda: ru.max_ruin_closed(math.nan, max_pair(me.uniform(0, 1), me.lom_max(1.0))),
+    lambda: ru.max_ruin_closed(1.0, max_pair(me.uniform(0, 1), me.lom_max(math.inf))),
+    lambda: ru.max_ruin_ode(me.uniform(0, 1), me.point_mass(1.0), [math.nan]),
+    lambda: ru.max_ruin_ode(me.uniform(0, 1), me.point_mass(math.inf), [1.0]),
     lambda: ru.max_ruin_ode(me.uniform(0, 1), me.uniform(0, 2), [math.nan]),
     lambda: ru.max_ruin_ode(me.uniform(0, 1), me.uniform(0, 2), [0.5, math.inf]),
     lambda: ru.max_ruin_integral_residual(me.uniform(0, 1), me.uniform(0, 2), math.nan),
@@ -492,8 +584,9 @@ KENDALL_LOM = me.lom_kendall(1.0, 1.0)
         0.5, -math.inf, ri.RiskModel(co.kendall(1.0), KENDALL_LOM, KENDALL_LOM, u=1.0)),
     lambda: ru.alpha_ruin_laplace_check(ru.alpha_ruin_volterra(F_EXP, GAMMA, BETA_ALPHA, steps=10),
                                         F_EXP, GAMMA, BETA_ALPHA, [math.nan]),
-], ids=["lom_u", "lom_a", "ode_nan", "ode_inf", "residual_u", "volterra_gamma",
-        "volterra_beta", "volterra_z_max", "recursion_v", "recursion_u", "laplace_s"])
+], ids=["lom_u", "lom_a", "point_ode_u", "point_ode_b", "ode_nan", "ode_inf", "residual_u",
+        "volterra_gamma", "volterra_beta", "volterra_z_max", "recursion_v", "recursion_u",
+        "laplace_s"])
 def test_ruin_entry_points_reject_non_finite_numbers(call):
     with pytest.raises(me.ParameterError, match="must be finite"):
         call()
