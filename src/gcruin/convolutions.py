@@ -25,6 +25,7 @@ from .measures import (
     _check_finite,
     _check_nonnegative,
     _check_positive,
+    _image,
     _invert_cdf,
     point_mass,
 )
@@ -169,35 +170,15 @@ def _kingman_kernel(s: float, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dilate(d: Distribution, a: float) -> Distribution:
-    """Pushforward of d under scaling by a; a = 0 gives delta_0."""
+    """Pushforward of d under scaling by a (``measures._image``); a = 0 gives delta_0."""
     _check_nonnegative(a=a)
     if a == 0.0:
         return point_mass(0.0)
     if a == 1.0:
         return d
 
-    def cdf(x):
-        return d.cdf_fn(_as_array(x) / a)
-
-    quantile = None
-    if d.quantile_fn is not None:
-        def quantile(q):
-            return a * _as_array(d.quantile_fn(q))
-
-    density = None
-    if d.density is not None:
-        def density(x):
-            return d.density(_as_array(x) / a) / a
-
-    sf = None
-    if d.sf_fn is not None:
-        def sf(x):
-            return d.sf_fn(_as_array(x) / a)
-
-    atoms = tuple((loc * a, m) for loc, m in d.atoms)
-    return Distribution(atoms, cdf, quantile, density, d.support_upper * a, d.support_lower * a,
-                        family="dilated", params={"base": d.family, "scale": a},
-                        sf_fn=sf, tail_index=d.tail_index)
+    return _image(d, lambda x: x * a, lambda x: x / a, lambda x: 1.0, a, d.tail_index,
+                  "dilated", {"base": d.family, "scale": a})
 
 
 # ---------------------------------------------------------------------------

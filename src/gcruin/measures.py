@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -99,7 +99,9 @@ class Distribution:
     ``sf_fn`` is an optional closed-form survival function 1 - F, exact far
     in a heavy tail where 1 - cdf(x) cancels.  ``tail_index`` is the index k
     of a regularly varying tail, sf(x) ~ x^(-k), so that E X^a is finite
-    exactly when a < k; the default inf declares no heavy tail.
+    exactly when a < k; the default inf declares no heavy tail.  ``knots``
+    are points where the density jumps, such as the ends of the linear
+    pieces of a ``table`` law's CDF; the max-model quadratures cut there.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -112,6 +114,7 @@ class Distribution:
     params: dict = field(default_factory=dict)
     sf_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     tail_index: float = math.inf
+    knots: tuple[float, ...] = ()
 
     def cdf(self, x):
         x = _as_array(x)
@@ -296,9 +299,7 @@ def point_mass(a: float) -> Distribution:
 def lom_max(a: float) -> Distribution:
     """Lack-of-memory law for the max algebra: the point mass delta_a, a > 0."""
     _check_positive(a=a)
-    d = point_mass(a)
-    return Distribution(d.atoms, d.cdf_fn, d.quantile_fn, None, a, a,
-                        family="lom_max", params={"a": a})
+    return replace(point_mass(a), family="lom_max")
 
 
 def lom_kendall(c: float, alpha: float) -> Distribution:
@@ -350,8 +351,8 @@ def table(atoms: Sequence[tuple[float, float]],
 
     ``cdf_points`` lists (x, C(x)) for the continuous part only; C must be
     nondecreasing from C = 0 (a jump belongs in ``atoms``).  Its density is
-    the piecewise-constant slope of C, which jumps at the knots x kept in
-    ``params["knots"]``.  Total mass (atoms + continuous) must be 1 within 1e-10.
+    the piecewise-constant slope of C, which jumps at the knots x, kept as
+    the law's ``knots``.  Total mass (atoms + continuous) must be 1 within 1e-10.
     """
     atoms = tuple((float(x), float(m)) for x, m in atoms)
     xs = np.array([p[0] for p in cdf_points], dtype=float)
@@ -399,7 +400,7 @@ def table(atoms: Sequence[tuple[float, float]],
     hi = max(tops)
     lo = min([x for x, _ in atoms] + ([float(xs[0])] if xs.size else [hi]))
     return Distribution(atoms, cdf, None, density, hi, lo, family="table",
-                        params={"knots": tuple(xs.tolist())})
+                        knots=tuple(xs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -489,43 +490,60 @@ def _sf_moment(d: Distribution, alpha: float, cuts: list[float]) -> float:
     return total + alpha * h**alpha / g * (val + v0 * tail(v0))
 
 
-def power_transform(d: Distribution, alpha: float) -> Distribution:
-    """Law of X^alpha when X ~ d (used to move the alpha-model to its z-scale).
-
-    A density f of d becomes f(z^(1/a)) z^(1/a - 1) / a, zero at and below
-    the new support's lower end.  A survival function composes the same way,
-    and a tail index k becomes k / a.
+def _image(d: Distribution, fwd, inv, jac, scale: float, tail_index: float,
+           family: str, params: dict) -> Distribution:
+    """Law of fwd(X) when X ~ d, fwd increasing with inverse inv: the one
+    builder of a transformed law.  Atoms, knots and support ends move to
+    fwd(p) and the quantile is fwd of d's, fwd applying ``*`` or ``**``.
+    The density is d's at inv(x) times jac(x) / scale = inv'(x), 0 at and
+    below the new lower end.  The CDF and sf are d's at inv(x), held to the
+    side of each atom and knot p that x is on of fwd(p), and to p at fwd(p),
+    since inv(fwd(p)) need not round back to p.
     """
-    _check_positive(alpha=alpha)
-    inv = 1.0 / alpha
-    lower = d.support_lower**alpha
+    lower = fwd(d.support_lower)
+    marks = sorted({*(loc for loc, _ in d.atoms), *d.knots})
+    moved = np.array([np.nan, *(fwd(p) for p in marks)])
+    floor, ceil = np.array([-np.inf, *marks]), np.append(np.nextafter(marks, -np.inf), np.inf)
 
-    def cdf(z):
-        z = _as_array(z)
-        return d.cdf(np.power(np.maximum(z, 0.0), inv))
+    def pull(x):
+        x = _as_array(x)
+        if not marks:
+            return inv(x)
+        i = np.searchsorted(moved[1:], x, side="right")  # the marks p with fwd(p) <= x
+        lo = floor[i]
+        return np.minimum(np.maximum(inv(x), lo), np.where(moved[i] == x, lo, ceil[i]))
+
+    def cdf(x):
+        return d.cdf_fn(pull(x))
 
     def quantile(q):
-        return np.power(d._quantile_in_range(q), alpha)
+        return fwd(d._quantile_in_range(q))
 
     density = None
     if d.density is not None:
-        def density(z):
-            z = _as_array(z)
-            out = np.zeros(z.shape)
-            on = z > lower
-            zon = z[on]
-            out[on] = d.density(np.power(zon, inv)) * np.power(zon, inv - 1.0) / alpha
+        def density(x):
+            x = _as_array(x)
+            out = np.zeros(x.shape)
+            on = x > lower
+            out[on] = d.density(inv(x[on])) * jac(x[on]) / scale
             return out
 
     sf = None
     if d.sf_fn is not None:
-        def sf(z):
-            return d.sf_fn(np.power(np.maximum(_as_array(z), 0.0), inv))
+        def sf(x):
+            return d.sf_fn(pull(x))
 
-    atoms = tuple((loc**alpha, m) for loc, m in d.atoms)
-    return Distribution(atoms, cdf, quantile, density, d.support_upper**alpha, lower,
-                        family="power", params={"base": d.family, "alpha": alpha},
-                        sf_fn=sf, tail_index=d.tail_index / alpha)
+    return Distribution(tuple((fwd(loc), m) for loc, m in d.atoms), cdf, quantile, density,
+                        fwd(d.support_upper), lower, family=family, params=params,
+                        sf_fn=sf, tail_index=tail_index, knots=tuple(fwd(k) for k in d.knots))
+
+
+def power_transform(d: Distribution, alpha: float) -> Distribution:
+    """Law of X^alpha when X ~ d, the alpha-model's z-scale: the ``_image`` of d under x^alpha."""
+    _check_positive(alpha=alpha)
+    return _image(d, lambda x: x**alpha, lambda z: np.power(np.maximum(z, 0.0), 1.0 / alpha),
+                  lambda z: np.power(z, 1.0 / alpha - 1.0), alpha, d.tail_index / alpha,
+                  "power", {"base": d.family, "alpha": alpha})
 
 
 _FAMILIES = {

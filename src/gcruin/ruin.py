@@ -216,8 +216,8 @@ def alpha_ruin_grid(us, model: RiskModel, steps: int = 2000) -> list[RuinEstimat
 # ---------------------------------------------------------------------------
 
 def _cuts(d: Distribution) -> tuple[float, ...]:
-    """Where d or its density jumps inside the support: its atoms, and a table's knots."""
-    return (*(v for v, _ in d.atoms), *d.params.get("knots", ()))
+    """Where d or its density jumps inside the support: its atoms and its knots."""
+    return (*(v for v, _ in d.atoms), *d.knots)
 
 
 def _cdf_below(F: Distribution, y: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -226,6 +227,31 @@ def test_power_transform():
     # X ~ Weibull(g=1, a=2) => X^2 ~ Exp(1)
     x = np.array([0.5, 1.0, 2.0])
     np.testing.assert_allclose(d.cdf(x), 1.0 - np.exp(-x), atol=1e-14)
+
+
+def _field_is_default(d, f):
+    if f.default is not dataclasses.MISSING:
+        return getattr(d, f.name) == f.default
+    if f.default_factory is not dataclasses.MISSING:
+        return getattr(d, f.name) == f.default_factory()
+    return not getattr(d, f.name)
+
+
+@pytest.mark.parametrize("transform", [lambda d: co.dilate(d, 3.0),
+                                       lambda d: me.power_transform(d, 2.0)],
+                         ids=["dilate", "power_transform"])
+def test_transforms_carry_every_field(transform):
+    # a law that sets every optional field; a field that a transform leaves
+    # at its default is a field the transform drops
+    t = me.table([(1.5, 0.25)], [(1.0, 0.0), (2.0, 0.75)])
+    full = dataclasses.replace(
+        t, quantile_fn=lambda q: me._invert_cdf(t.cdf_fn, q, 1.0, 2.0),
+        sf_fn=lambda x: 1.0 - t.cdf_fn(x), tail_index=5.0)
+    fields = [f for f in dataclasses.fields(me.Distribution) if f.name not in ("family", "params")]
+    assert not any(_field_is_default(full, f) for f in fields)
+    image = transform(full)
+    assert [f.name for f in fields if _field_is_default(image, f)] == []
+    assert len(image.atoms) == len(full.atoms) and len(image.knots) == len(full.knots)
 
 
 POWER_BASES = {

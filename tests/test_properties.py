@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
 from gcruin import convolutions as co
@@ -217,3 +218,25 @@ def test_max_solver_on_table_pairs(claims, premiums, u):
     assert np.all((delta >= 0.0) & (delta <= 1.0))
     assert np.all(np.diff(delta) >= -1e-12)
     assert residual < 1e-9
+
+
+# images of generated tables: the quantile, the draws and the CDF at each
+# atom and knot are the table's carried by the map, bit for bit
+@PROPERTY
+@given(t=table_laws(2), s=st.floats(0.1, 10.0), b=st.floats(0.25, 4.0),
+       q=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=5))
+def test_dilated_and_powered_tables_are_images(t, s, b, q):
+    q = np.array(q)
+    for image, fwd in ((co.dilate(t, s), lambda x: x * s),
+                       (me.power_transform(t, b), lambda x: x**b)):
+        assert np.array_equal(image.quantile(q), fwd(t.quantile(q)))
+        for x in (*(loc for loc, _ in t.atoms), *t.knots):
+            assert image.cdf(fwd(x)) == t.cdf(x)
+        # the total mass, integrated piece by piece between the image's knots
+        mass = image.atom_mass
+        if image.density is not None:
+            cuts = sorted({image.support_lower, *image.knots, image.support_upper})
+            mass += sum(integrate.quad(image.density, lo, hi, epsabs=1e-14)[0]
+                        for lo, hi in zip(cuts[:-1], cuts[1:]))
+        assert mass == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(co.dilate(t, s).sample(64, 3), s * t.sample(64, 3))

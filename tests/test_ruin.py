@@ -313,6 +313,25 @@ def test_max_ruin_ode_table_pairs_match_mc(name):
     assert est.ci_low <= exact <= est.ci_high
 
 
+@pytest.mark.parametrize("s", [2.0, 0.7])
+def test_max_ruin_ode_is_scale_free_on_tables(s):
+    # the solver cuts its quadrature at both laws' knots, so dilating both
+    # laws and the capital by s leaves the survival where it was
+    claims = me.table([], [(0.375, 0.0), (0.5, 0.492), (1.0, 1.0)])
+    premiums = me.table([(0.75, 0.5)], [(0.0, 0.0), (2.5, 0.5)])
+    u = 0.2885
+    base = ru.max_ruin_ode(claims, premiums, [u]).delta_values[0]
+    scaled = ru.max_ruin_ode(co.dilate(claims, s), co.dilate(premiums, s), [s * u])
+    assert scaled.delta_values[0] == pytest.approx(base, abs=1e-15)
+
+
+def test_dilated_and_powered_tables_keep_their_knots():
+    t = me.table([(0.75, 0.5)], [(0.0, 0.0), (1.0, 0.2), (2.5, 0.5)])
+    assert t.knots == (0.0, 1.0, 2.5)
+    assert me.power_transform(t, 1.5).knots == tuple(k**1.5 for k in t.knots)
+    assert co.dilate(t, 3.0).knots == tuple(3.0 * k for k in t.knots)
+
+
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.5])
 @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 0.9, 1.0, 1.5])
 def test_max_ruin_closed_uniform_matches_ode(beta, u):
