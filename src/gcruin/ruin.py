@@ -29,7 +29,7 @@ from .measures import (
     power_transform,
 )
 from .risk import RiskModel, _alpha_model_scale, _is_alpha_model
-from .walks import _check_poisson_mean, apply_step_batch, map_chunks
+from .walks import CHUNK, _check_poisson_mean, apply_step_batch, map_chunks
 
 __all__ = [
     "CertainRuinError",
@@ -338,42 +338,87 @@ def max_ruin_closed(u: float, model: RiskModel) -> RuinEstimate:
 # Monte Carlo estimation
 # ---------------------------------------------------------------------------
 
-def _alpha_mc_survival_chunk(model: RiskModel, width: int, horizon: int,
-                             rng: np.random.Generator) -> np.ndarray:
+#: claims per block of the alpha fast path: its claim buffer holds one block
+_ALPHA_BLOCK = 512
+
+
+def _alpha_mc_survival(model: RiskModel, horizon: int, paths: int, seed: int) -> np.ndarray:
     """Alpha-model fast path in the z-scale: survival <=> the random walk
-    sum(U_j^alpha - beta^alpha E_j) never reaches u^alpha, E_j ~ Exp(gamma)."""
+    sum(U_j^alpha - beta^alpha E_j) never reaches u^alpha, E_j ~ Exp(gamma).
+
+    Each chunk draws a block of claims, then its premiums, and the block's
+    running sum starts at 0: the walk is base + that sum, so a path's peak
+    over the block is base + the sum's peak (rounding is monotone) and the
+    next base is base + its last row.  The premiums are drawn max(1, CHUNK //
+    width) rows at a time into one CHUNK-float buffer, subtracted from their
+    claim rows and summed on in the same pass.  Every worker gets its claim
+    and premium buffers from the calling thread, and the chunks run on up to
+    nproc threads; the draws and ufuncs release the GIL.
+    """
     a = model.algebra.alpha
-    gamma = model.premium_law.params["gamma"]
     level = model.u**a
-    scale = model.beta**a
+    beta_a = model.beta**a
+    inv_gamma = 1.0 / model.premium_law.params["gamma"]
     claim = model.claim_law
-    # U^alpha for a lack-of-memory claim law of the same order is Exp(g)
-    claim_exp_rate = (claim.params["gamma"]
-                      if claim.family == "lom_alpha" and claim.params["alpha"] == a
-                      else None)
-    claim_z = power_transform(claim, a)
-    alive = np.ones(width, dtype=bool)
-    base = np.zeros(width)
-    block = 512
-    for lo in range(0, horizon, block):
-        n = min(block, horizon - lo)
-        if claim_exp_rate is not None:
-            claims = rng.exponential(1.0 / claim_exp_rate, (n, width))
-        else:
-            claims = claim_z.sample(n * width, rng).reshape(n, width)
-        premiums = rng.exponential(1.0 / gamma, (n, width))
-        premiums *= scale
-        claims -= premiums
-        # the running sum row by row: contiguous passes, the same additions in
-        # the same order as np.cumsum(axis=0), whose inner loop is strided
-        for i in range(1, n):
-            np.add(claims[i - 1], claims[i], out=claims[i])
-        claims += base
-        alive &= claims.max(axis=0) < level
-        base = claims[-1].copy()
-        if not alive.any():
-            break
-    return alive
+    # U^alpha for a lack-of-memory claim law of the same order is Exp(g):
+    # standard draws times 1/g are the bits of rng.exponential(1/g)
+    if claim.family == "lom_alpha" and claim.params["alpha"] == a:
+        inv_rate = 1.0 / claim.params["gamma"]
+
+        def draw_claims(rng, out):
+            rng.standard_exponential(out=out)
+            out *= inv_rate
+    else:
+        claim_z = power_transform(claim, a)
+
+        # sample is the quantile, value by value, of one random(n) draw, so
+        # drawing CHUNK values at a time gives the bits of one sample(out.size)
+        def draw_claims(rng, out):
+            for k in range(0, out.size, CHUNK):
+                out[k:k + CHUNK] = claim_z.sample(min(CHUNK, out.size - k), rng)
+
+    def chunk(lo, hi, rng, bufs):
+        claim_buf, premium_buf = bufs
+        width = hi - lo
+        rows = max(1, CHUNK // width)
+        alive = np.ones(width, dtype=bool)
+        base = np.zeros(width)
+        peak = np.empty(width)
+        for first in range(0, horizon, _ALPHA_BLOCK):
+            n = min(_ALPHA_BLOCK, horizon - first)
+            block = claim_buf[:n * width].reshape(n, width)
+            draw_claims(rng, block.reshape(-1))
+            peak.fill(-np.inf)
+            for g in range(0, n, rows):
+                group = block[g:g + rows]
+                premiums = premium_buf[:group.size].reshape(group.shape)
+                rng.standard_exponential(out=premiums)
+                premiums *= inv_gamma
+                premiums *= beta_a
+                group -= premiums
+                # the running sum row after row either way: one C loop per
+                # column where the group is taller than wide, else one ufunc
+                # call per row (accumulate's axis-0 loop is strided)
+                if len(group) > width:
+                    if g:
+                        group[0] += block[g - 1]
+                    np.add.accumulate(group, axis=0, out=group)
+                    np.maximum(peak, group.max(axis=0), out=peak)
+                else:
+                    for i in range(g, g + len(group)):
+                        if i:
+                            np.add(block[i - 1], block[i], out=block[i])
+                        np.maximum(peak, block[i], out=peak)
+            peak += base
+            alive &= peak < level
+            base += block[-1]
+            if not alive.any():
+                break
+        return alive
+
+    claim_floats = min(_ALPHA_BLOCK, horizon) * min(CHUNK, paths)
+    return map_chunks(chunk, paths, seed,
+                      scratch=lambda: (np.empty(claim_floats), np.empty(CHUNK)))
 
 
 def _paired_walk(model: RiskModel, x: np.ndarray, y: np.ndarray,
@@ -418,16 +463,15 @@ def mc_ruin(model: RiskModel, horizon_claims: int = 10_000, paths: int = 100_000
     if horizon_claims < 1 or paths < 1:
         raise ParameterError("need horizon_claims >= 1 and paths >= 1")
     _check_confidence(confidence)
-    fast_alpha = _is_alpha_model(model)
 
     def survived(lo, hi, rng):
-        if fast_alpha:
-            return _alpha_mc_survival_chunk(model, hi - lo, horizon_claims, rng)
         _, _, ruined_at = _paired_walk(model, np.zeros(hi - lo), np.full(hi - lo, float(model.u)),
                                        rng, horizon_claims)
         return ruined_at > horizon_claims
 
-    survivors = int(map_chunks(survived, paths, seed).sum())
+    alive = (_alpha_mc_survival(model, horizon_claims, paths, seed) if _is_alpha_model(model)
+             else map_chunks(survived, paths, seed))
+    survivors = int(alive.sum())
     return _mc_estimate(survivors, paths, confidence, horizon_claims,
                         upper_bound_on_survival=True)
 

@@ -14,11 +14,16 @@ at step offset k reproduces its suffix exactly.  Every batched Monte Carlo
 routine is one function of a chunk, run by map_chunks over fixed-width
 chunks seeded by (seed, chunk index), so results never depend on scheduling;
 a chunk wider than CHUNK is walked in row blocks whose draws are the block's
-rows of the chunk's own draws, so the results are the same bits.
+rows of the chunk's own draws, so the results are the same bits.  The
+alpha-model fast path runs its chunks on up to one thread per CPU the process
+may use; each chunk still draws from its own stream and the results are
+concatenated in chunk order, so they do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -41,7 +46,8 @@ __all__ = [
 CHUNK = 16384
 
 
-def map_chunks(fn: Callable, paths: int, seed: int, width: int = CHUNK, key: tuple = ()):
+def map_chunks(fn: Callable, paths: int, seed: int, width: int = CHUNK, key: tuple = (),
+               scratch: Callable | None = None):
     """Concatenate fn(lo, hi, rng), one value per path, over the chunks of `width` paths in order.
 
     Chunk ci draws from default_rng([seed, *key, ci]); `key` separates
@@ -49,12 +55,58 @@ def map_chunks(fn: Callable, paths: int, seed: int, width: int = CHUNK, key: tup
     blocks of at most CHUNK paths, each with a _RowView of the chunk's
     stream, so fn must draw only rng.random(hi - lo) and give each path a
     value that depends on its own rows of those draws alone.
+
+    With `scratch`, the chunks run on up to one thread per CPU this process
+    may use, at most one per chunk.  The calling thread makes one scratch()
+    per worker before any chunk runs, and the worker calls fn(lo, hi, rng,
+    mem) with its own.  fn must then release the GIL for its long calls to
+    gain anything.  An exception in any chunk is raised here.
     """
     _check_integer(seed=seed)
     _check_nonnegative(seed=seed)
-    return np.concatenate([out for ci, lo in enumerate(range(0, paths, width))
-                           for out in _row_blocks(fn, lo, min(lo + width, paths),
-                                                  np.random.default_rng([seed, *key, ci]))])
+    starts = range(0, paths, width)
+
+    def chunk(ci: int, f: Callable) -> list:
+        lo = starts[ci]
+        return _row_blocks(f, lo, min(lo + width, paths), np.random.default_rng([seed, *key, ci]))
+
+    if scratch is None:
+        blocks = [chunk(ci, fn) for ci in range(len(starts))]
+    else:
+        mems = [scratch() for _ in range(min(len(os.sched_getaffinity(0)), len(starts)))]
+        blocks = _on_threads(chunk, len(starts),
+                             [lambda lo, hi, rng, m=m: fn(lo, hi, rng, m) for m in mems])
+    return np.concatenate([out for outs in blocks for out in outs])
+
+
+def _on_threads(run: Callable, count: int, workers: list) -> list:
+    """[run(i, w) for i in range(count)], the indices handed out in order to
+    the workers w, each on its own thread (the first on the calling one)."""
+    out = [None] * count
+    todo = iter(range(count))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work(w) -> None:
+        try:
+            while not errors:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                out[i] = run(i, w)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in workers[1:]]
+    for t in threads:
+        t.start()
+    work(workers[0])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _row_blocks(fn: Callable, lo: int, hi: int, rng: np.random.Generator) -> list:

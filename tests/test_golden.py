@@ -759,6 +759,73 @@ ALPHA_MC_RUIN = {
     ),
 }
 
+#: alpha-model fast path at one chunk of 1, 10, 8192 and 8193 paths, horizons on
+#: both sides of the 512-claim block, captured before the premiums were drawn a
+#: group of rows at a time; 16 seeds for the narrow chunks, 4 for the wide ones
+ALPHA_MC_WIDTH_MODELS = {"exp": ALPHA_MC_MODELS["exp"], "power": ALPHA_MC_MODELS["power"]}
+ALPHA_MC_WIDTHS = {
+    ('exp', 1, 300): (
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        '0x0.0p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0',
+    ),
+    ('exp', 1, 1030): (
+        '0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x0.0p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x0.0p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x0.0p+0',
+        '0x1.0000000000000p+0',
+    ),
+    ('exp', 10, 300): (
+        '0x1.6666666666666p-1', '0x1.ccccccccccccdp-1', '0x1.999999999999ap-1',
+        '0x1.ccccccccccccdp-1', '0x1.6666666666666p-1', '0x1.999999999999ap-1',
+        '0x1.6666666666666p-1', '0x1.6666666666666p-1', '0x1.ccccccccccccdp-1',
+        '0x1.ccccccccccccdp-1', '0x1.999999999999ap-1', '0x1.ccccccccccccdp-1',
+        '0x1.6666666666666p-1', '0x1.0000000000000p+0', '0x1.6666666666666p-1',
+        '0x1.0000000000000p+0',
+    ),
+    ('exp', 10, 1030): (
+        '0x1.999999999999ap-1', '0x1.6666666666666p-1', '0x1.999999999999ap-1',
+        '0x1.0000000000000p+0', '0x1.6666666666666p-1', '0x1.ccccccccccccdp-1',
+        '0x1.0000000000000p+0', '0x1.999999999999ap-1', '0x1.ccccccccccccdp-1',
+        '0x1.999999999999ap-1', '0x1.ccccccccccccdp-1', '0x1.ccccccccccccdp-1',
+        '0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        '0x1.6666666666666p-1',
+    ),
+    ('exp', 8192, 100): (
+        '0x1.a3f0000000000p-1', '0x1.a1b0000000000p-1', '0x1.a020000000000p-1',
+        '0x1.9fe0000000000p-1',
+    ),
+    ('exp', 8192, 600): (
+        '0x1.9f20000000000p-1', '0x1.a0d0000000000p-1', '0x1.a5e0000000000p-1',
+        '0x1.a020000000000p-1',
+    ),
+    ('exp', 8193, 100): (
+        '0x1.a1b2f2686cbcap-1', '0x1.a3c2e1e8f0b88p-1', '0x1.a052fd6814bf6p-1',
+        '0x1.9f730467dcc12p-1',
+    ),
+    ('exp', 8193, 600): (
+        '0x1.9ed30967b4c26p-1', '0x1.a0b2fa682cbeap-1', '0x1.a462dce918b74p-1',
+        '0x1.a282ebe8a0bb0p-1',
+    ),
+    ('power', 10, 1030): (
+        '0x1.0000000000000p-1', '0x1.ccccccccccccdp-1', '0x1.6666666666666p-1',
+        '0x1.ccccccccccccdp-1', '0x1.6666666666666p-1', '0x1.999999999999ap-1',
+        '0x1.3333333333333p-1', '0x1.6666666666666p-1', '0x1.ccccccccccccdp-1',
+        '0x1.3333333333333p-1', '0x1.3333333333333p-1', '0x1.999999999999ap-1',
+        '0x1.3333333333333p-1', '0x1.0000000000000p+0', '0x1.6666666666666p-1',
+        '0x1.ccccccccccccdp-1',
+    ),
+    ('power', 8193, 600): (
+        '0x1.8b73a462dce92p-1', '0x1.88f3b8623cee2p-1', '0x1.8d7394635ce52p-1',
+        '0x1.8a33ae628cebap-1',
+    ),
+}
+
 MC_T = {"kendall": 3.0, "max": 3.0, "alpha": 3.0, "kendall_type": 1.0}
 SEEDS = (0, 1, 2, 3)
 
@@ -779,6 +846,14 @@ def test_alpha_mc_ruin_blocks(name):
     got = [ru.mc_ruin(ALPHA_MC_MODELS[name], ALPHA_MC_HORIZON, wa.CHUNK + 7, seed=s).survival
            for s in SEEDS]
     assert hexes(got) == ALPHA_MC_RUIN[name]
+
+
+@pytest.mark.parametrize("case", sorted(ALPHA_MC_WIDTHS))
+def test_alpha_mc_ruin_widths(case):
+    name, paths, horizon = case
+    seeds = range(len(ALPHA_MC_WIDTHS[case]))
+    got = [ru.mc_ruin(ALPHA_MC_WIDTH_MODELS[name], horizon, paths, seed=s).survival for s in seeds]
+    assert hexes(got) == ALPHA_MC_WIDTHS[case]
 
 
 @pytest.mark.parametrize("name", sorted(MC_MODELS))

@@ -390,6 +390,17 @@ def test_mc_ruin_alpha_fast_path_matches_volterra():
     assert est.ci_low - 0.005 <= target <= est.ci_high + 0.005
 
 
+@pytest.mark.parametrize("claims", [F_EXP, me.uniform(0.0, 1.0)], ids=["lom_alpha", "uniform"])
+def test_mc_ruin_alpha_fast_path_does_not_depend_on_the_cpu_count(monkeypatch, claims):
+    model = ri.RiskModel(co.alpha_stable(1.0), claims, F_EXP, u=1.0, beta=BETA_ALPHA)
+    got = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(wa.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        got[len(cpus)] = ru.mc_ruin(model, horizon_claims=40, paths=3 * wa.CHUNK + 5, seed=8)
+    assert got[1].survival.hex() == got[2].survival.hex()
+    assert got[1] == got[2]
+
+
 def test_mc_ruin_survival_monotone_in_horizon():
     # same seed: longer horizons extend the same paths, so the survivor set
     # can only shrink
@@ -567,6 +578,23 @@ def test_recursion_check_validation():
         with pytest.raises(me.ParameterError):
             ru.kendall_lambda_recursion_check(0.0, 1.0, model, paths_outer=10, paths_inner=5,
                                               horizon=2, **kwargs)
+
+
+@pytest.mark.parametrize("claims", [F_EXP, me.uniform(0.0, 1.0)], ids=["lom_alpha", "uniform"])
+def test_mc_ruin_alpha_fast_path_memory_is_its_claim_buffers(monkeypatch, claims):
+    # two workers, each with one 64 x CHUNK claim buffer (8 MiB); no claim or
+    # premium block of that size is allocated besides them, so the peak stays
+    # below the buffers plus half of one
+    monkeypatch.setattr(wa.os, "sched_getaffinity", lambda pid: {0, 1})
+    model = ri.RiskModel(co.alpha_stable(1.0), claims, F_EXP, u=1.0, beta=BETA_ALPHA)
+    tracemalloc.start()
+    try:
+        ru.mc_ruin(model, horizon_claims=64, paths=2 * wa.CHUNK, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 64 * wa.CHUNK * 8
+    assert peak < 2 * block + block // 2
 
 
 def test_recursion_check_memory_does_not_grow_with_the_inner_paths():

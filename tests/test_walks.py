@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +183,76 @@ def test_map_chunks_checks_the_seed_before_any_chunk():
 
     with pytest.raises(me.ParameterError, match="^seed must be nonnegative, got -1$"):
         wa.map_chunks(fn, 10, -1)
+
+
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(wa.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_map_chunks_on_threads_returns_the_serial_array(monkeypatch):
+    # each worker keeps one scratch array; the chunk draws into it and into a
+    # fresh array, so the result shows both the stream and the scratch use
+    two_cpus(monkeypatch)
+    made = []
+
+    def scratch():
+        made.append(np.empty(wa.CHUNK))
+        return made[-1]
+
+    def threaded(lo, hi, rng, buf):
+        out = buf[:hi - lo]
+        rng.standard_exponential(out=out)
+        return out + rng.random(hi - lo)
+
+    def serial(lo, hi, rng):
+        return rng.standard_exponential(hi - lo) + rng.random(hi - lo)
+
+    paths = 3 * wa.CHUNK + 5
+    got = wa.map_chunks(threaded, paths, 5, key=(2,), scratch=scratch)
+    assert len(made) == 2
+    assert got.tobytes() == wa.map_chunks(serial, paths, 5, key=(2,)).tobytes()
+
+
+def test_map_chunks_hands_out_every_chunk_once_under_thread_switches(monkeypatch):
+    # eight workers on the host's CPUs, 401 seven-path chunks, a thread switch
+    # every microsecond: a chunk run twice or lost breaks the serial bytes
+    monkeypatch.setattr(wa.os, "sched_getaffinity", lambda pid: set(range(8)))
+    runs = []
+
+    def fn(lo, hi, rng, mem):
+        runs.append(lo)
+        return rng.random(hi - lo)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = wa.map_chunks(fn, 400 * 7 + 3, 5, width=7, scratch=lambda: None)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(runs) == list(range(0, 400 * 7 + 3, 7))
+    want = wa.map_chunks(lambda lo, hi, rng: rng.random(hi - lo), 400 * 7 + 3, 5, width=7)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_map_chunks_makes_at_most_one_worker_per_chunk(monkeypatch):
+    two_cpus(monkeypatch)
+    made = []
+    got = wa.map_chunks(lambda lo, hi, rng, mem: rng.random(hi - lo), wa.CHUNK, 5,
+                        scratch=lambda: made.append(None))
+    assert len(made) == 1
+    assert got.tobytes() == np.random.default_rng([5, 0]).random(wa.CHUNK).tobytes()
+
+
+def test_map_chunks_raises_an_exception_of_a_worker_chunk(monkeypatch):
+    two_cpus(monkeypatch)
+
+    def fn(lo, hi, rng, mem):
+        if lo == 2 * wa.CHUNK:
+            raise me.ParameterError("chunk 2 failed")
+        return rng.random(hi - lo)
+
+    with pytest.raises(me.ParameterError, match="^chunk 2 failed$"):
+        wa.map_chunks(fn, 3 * wa.CHUNK + 5, 5, scratch=lambda: None)
 
 
 def ks_one_sample(draws: np.ndarray, cdf_vals_sorted: np.ndarray) -> float:
