@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .convolutions import algebra_from_json, char_fn, convolve_points, dilate
+from .convolutions import algebra_from_json, char_fn, convolve_points
 from .measures import (
     ParameterError,
     UnsupportedLawError,
@@ -34,17 +34,7 @@ from .measures import (
     distribution_from_json,
 )
 from .risk import RiskModel, safety_condition_kendall, safety_condition_max
-from .ruin import (
-    CertainRuinError,
-    RuinEstimate,
-    _check_confidence,
-    alpha_ruin_grid,
-    has_max_closed_form,
-    max_ruin_closed,
-    max_ruin_ode,
-    mc_ruin,
-    mc_ruin_finite_t,
-)
+from .ruin import CertainRuinError, _check_confidence, survival
 from .walks import _check_walk, simulate, simulate_terminal
 
 __all__ = ["main", "DEFAULT_SEED"]
@@ -214,34 +204,6 @@ def _cmd_safety(args, out: Path) -> dict:
     return payload
 
 
-def _auto_method(model: RiskModel) -> str:
-    if model.algebra.kind == "alpha_stable":
-        return "volterra"
-    if model.algebra.kind == "max":
-        return "closed" if has_max_closed_form(model) else "ode"
-    return "mc"
-
-
-def _ruin_one(model: RiskModel, method: str, u: float, args) -> RuinEstimate:
-    if method == "ode":
-        if model.algebra.kind != "max":
-            raise _ValidationError("the ode method solves the max model only")
-        grid = max_ruin_ode(model.claim_law, dilate(model.premium_law, model.beta), [u])
-        surv = float(grid.delta_values[0])
-        return RuinEstimate(surv, 1.0 - surv, method="ode")
-    if method == "closed":
-        return max_ruin_closed(u, model)
-    if method == "mc":
-        m = RiskModel(model.algebra, model.claim_law, model.premium_law,
-                      u=u, lam=model.lam, beta=model.beta)
-        if args.t is not None:
-            return mc_ruin_finite_t(m, args.t, paths=args.paths, seed=args.seed,
-                                    confidence=args.confidence)
-        return mc_ruin(m, horizon_claims=args.horizon, paths=args.paths,
-                       seed=args.seed, confidence=args.confidence)
-    raise _ValidationError(f"unknown method {method!r}")
-
-
 def _cmd_ruin(args, out: Path) -> dict:
     # every route checks the run options, so none echoes an invalid one into its meta
     _check_positive(paths=args.paths, horizon=args.horizon)
@@ -250,31 +212,21 @@ def _cmd_ruin(args, out: Path) -> dict:
     _check_nonnegative(seed=args.seed)
     _check_confidence(args.confidence)
     model = _load_model(args.model)
-    if args.method != "auto":
-        method = args.method
-    else:
-        method = "mc" if args.t is not None else _auto_method(model)
-    if args.t is not None and method != "mc":
+    if args.t is not None and args.method not in ("auto", "mc"):
         raise _ValidationError(f"--t sets a finite horizon, which only the mc method "
-                               f"solves; --method {method} is infinite-horizon")
-    if args.u_grid is not None:
-        us = _parse_grid(args.u_grid, "--u-grid")
-    else:
-        us = np.array([model.u if args.u is None else args.u])
-    if method == "volterra":
-        ests = alpha_ruin_grid([float(u) for u in us], model, steps=args.steps)
-    else:
-        ests = [_ruin_one(model, method, float(u), args) for u in us]
-    rows = []
-    diags = []
-    for u, est in zip(us, ests):
-        rows.append((float(u), est.survival, est.ruin,
-                     "" if est.ci_low is None else est.ci_low,
-                     "" if est.ci_high is None else est.ci_high,
-                     est.method))
-        diags.append(est.diagnostics)
+                               f"solves; --method {args.method} is infinite-horizon")
+    us = (_parse_grid(args.u_grid, "--u-grid") if args.u_grid is not None
+          else [model.u if args.u is None else args.u])
+    method, ests = survival(model, us, args.method, horizon=args.horizon, t=args.t,
+                            paths=args.paths, seed=args.seed, confidence=args.confidence,
+                            steps=args.steps)
+    rows = [(float(u), est.survival, est.ruin,
+             "" if est.ci_low is None else est.ci_low,
+             "" if est.ci_high is None else est.ci_high,
+             est.method) for u, est in zip(us, ests)]
     _write_csv(out / "ruin.csv", ["u", "survival", "ruin", "ci_low", "ci_high", "method"], rows)
-    summary = {"method": method, "rows": len(rows), "diagnostics": diags}
+    summary = {"method": method, "rows": len(rows),
+               "diagnostics": [est.diagnostics for est in ests]}
     _write_json(out / "ruin_summary.json", summary)
     u0, s0 = rows[0][0], rows[0][1]
     print(f"ruin: method {method}, survival({u0:g}) = {s0:.6g} ({len(rows)} rows)")
@@ -347,14 +299,6 @@ _HANDLERS = {
 }
 
 
-#: numeric options that must be finite when given
-_FINITE_OPTIONS = ("u", "t", "x", "y", "start")
-
-
-def _check_finite_options(args) -> None:
-    _check_finite(**{f"--{name}": getattr(args, name, None) for name in _FINITE_OPTIONS})
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -366,7 +310,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     start = time.perf_counter()
     try:
-        _check_finite_options(args)
+        # numeric options that must be finite when given
+        _check_finite(**{f"--{name}": getattr(args, name, None)
+                         for name in ("u", "t", "x", "y", "start")})
         extra = _HANDLERS[args.command](args, out)
     except (_ValidationError, ParameterError, UnsupportedLawError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,11 +12,12 @@ of the survival functional by two independent estimators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate, special
 
+from .convolutions import dilate
 from .measures import (
     Distribution,
     ParameterError,
@@ -49,6 +50,7 @@ __all__ = [
     "mc_ruin",
     "mc_ruin_finite_t",
     "kendall_lambda_recursion_check",
+    "survival",
 ]
 
 
@@ -107,14 +109,18 @@ def alpha_ruin_volterra(F_of_U_alpha: Distribution, gamma: float, beta_alpha: fl
     Uniform grid, trapezoidal product integration; q = gamma / beta^alpha and
     rho = q * (mean of F).  Second-order accurate in the grid step.
     """
-    return _volterra_grid(F_of_U_alpha, gamma, beta_alpha, z_max, steps,
-                          moment_alpha(F_of_U_alpha, 1.0))
+    _check_positive(z_max=z_max)
+    return _volterra_grid(F_of_U_alpha, gamma, beta_alpha, [z_max], steps,
+                          moment_alpha(F_of_U_alpha, 1.0))[0]
 
 
 def _volterra_grid(F_of_U_alpha: Distribution, gamma: float, beta_alpha: float,
-                   z_max: float, steps: int, mu: float) -> SurvivalGrid:
-    """The solver behind alpha_ruin_volterra, given the claim mean mu."""
-    _check_positive(gamma=gamma, beta_alpha=beta_alpha, z_max=z_max)
+                   z_maxes, steps: int, mu: float) -> list[SurvivalGrid]:
+    """The solver behind alpha_ruin_volterra, given the claim mean mu: one grid
+    per end in z_maxes, solved as the rows of one recursion.  Each step's
+    inner sums are one np.vecdot over the rows.
+    """
+    _check_positive(gamma=gamma, beta_alpha=beta_alpha)
     _check_integer(steps=steps)
     if steps < 2:
         raise ParameterError("need steps >= 2")
@@ -122,20 +128,28 @@ def _volterra_grid(F_of_U_alpha: Distribution, gamma: float, beta_alpha: float,
     rho = gamma * mu / beta_alpha
     if not math.isfinite(rho) or rho >= 1.0:
         raise CertainRuinError(f"net profit condition fails: rho = {rho}")
-    z = np.linspace(0.0, z_max, steps + 1)
-    h = z[1] - z[0]
-    k = 1.0 - np.asarray(F_of_U_alpha.cdf(z), dtype=float)
-    delta = np.empty(steps + 1)
-    delta[0] = 1.0 - rho
-    # rev[steps - j] = delta[j], so delta[i-1], ..., delta[1] is the contiguous
-    # slice rev[steps-i+1:steps] (a reversed view of delta would be copied)
-    rev = np.empty(steps + 1)
-    rev[steps] = delta[0]
-    denom = 1.0 - 0.5 * q * h * k[0]
+    z = np.array([np.linspace(0.0, zm, steps + 1) for zm in z_maxes]).reshape(-1, steps + 1)
+    h = z[:, 1] - z[:, 0]
+    k = 1.0 - np.array([F_of_U_alpha.cdf(row) for row in z], dtype=float).reshape(z.shape)
+    # the recursion is a discrete renewal equation, bounded while its own rho,
+    # q h (k_0/2 + k_1 + ... + k_steps), stays below 1; k is nonincreasing, so
+    # that rho is at most rho + q h k_0 / 2, which names a steps count that works
+    if not np.all(q * h * (0.5 * k[:, 0] + k[:, 1:].sum(axis=1)) < 1.0):
+        zm = max(z_maxes)
+        need = math.floor(q * k[0, 0] * zm / (2.0 * (1.0 - rho))) + 1
+        raise ParameterError(f"steps = {steps} is too few for z_max = {zm:g}: the Volterra "
+                             f"scheme diverges; steps >= {need} keep it bounded")
+    denom = 1.0 - 0.5 * q * h * k[:, 0]
+    d0 = 1.0 - rho
+    # delta is kept reversed, rev[:, steps - j] = delta[:, j], so delta[i-1], ...,
+    # delta[1] is the contiguous slice rev[:, steps-i+1:steps]
+    rev = np.full_like(z, d0)
+    qh, half_k = q * h, 0.5 * k * d0
     for i in range(1, steps + 1):
-        inner = float(np.dot(k[1:i], rev[steps - i + 1:steps])) if i > 1 else 0.0
-        delta[i] = rev[steps - i] = (1.0 - rho + q * h * (inner + 0.5 * k[i] * delta[0])) / denom
-    return SurvivalGrid(z, np.clip(delta, 0.0, 1.0))
+        # np.vecdot is np.dot row by row, bit for bit; the empty sum at i = 1 is 0
+        inner = np.vecdot(k[:, 1:i], rev[:, steps - i + 1:steps])
+        rev[:, steps - i] = (d0 + qh * (inner + half_k[:, i])) / denom
+    return [SurvivalGrid(zr, dr) for zr, dr in zip(z, np.clip(rev[:, ::-1], 0.0, 1.0))]
 
 
 def volterra_residual(grid: SurvivalGrid, F: Distribution, gamma: float,
@@ -189,26 +203,22 @@ def alpha_ruin(u: float, model: RiskModel, steps: int = 2000) -> RuinEstimate:
 def alpha_ruin_grid(us, model: RiskModel, steps: int = 2000) -> list[RuinEstimate]:
     """alpha_ruin at each capital in us, in order.
 
-    The Volterra grid for capital u ends at z_max = max(10, 5 u^alpha).  The
-    claim mean is computed once, and capitals that share a z_max share one
-    solve, so every estimate equals the one alpha_ruin gives for that capital
-    alone.
+    The Volterra grid for capital u ends at z_max = max(10, 5 u^alpha).  Every
+    distinct z_max is one row of a single solve, and each estimate equals the
+    one alpha_ruin gives for that capital alone.
     """
     F, gamma, beta_alpha, mu = _alpha_model_scale(model)
     a = model.algebra.alpha
     rho = gamma * mu / beta_alpha
-    grids: dict[float, SurvivalGrid] = {}
-    out = []
     for u in us:
         _check_nonnegative(u=u)
-        zu = u**a
-        zm = max(10.0, 5.0 * zu)
-        if zm not in grids:
-            grids[zm] = _volterra_grid(F, gamma, beta_alpha, zm, steps, mu)
-        surv = float(grids[zm](zu))
-        out.append(RuinEstimate(surv, 1.0 - surv, method="volterra",
-                                diagnostics={"rho": rho, "z": zu, "z_max": zm, "steps": steps}))
-    return out
+    zs = [u**a for u in us]
+    ends, row = np.unique([max(10.0, 5.0 * zu) for zu in zs], return_inverse=True)
+    grids = _volterra_grid(F, gamma, beta_alpha, ends, steps, mu)
+    survs = [float(grids[r](zu)) for zu, r in zip(zs, row)]
+    return [RuinEstimate(s, 1.0 - s, method="volterra", diagnostics={
+        "rho": rho, "z": zu, "z_max": float(ends[r]), "steps": steps})
+        for s, zu, r in zip(survs, zs, row)]
 
 
 # ---------------------------------------------------------------------------
@@ -566,3 +576,47 @@ def kendall_lambda_recursion_check(v: float, u: float, model: RiskModel,
     residual = lhs - rhs
     half = z * math.sqrt(se_l**2 + se_r**2)
     return RecursionCheck(lhs, rhs, residual, residual - half, residual + half)
+
+
+# ---------------------------------------------------------------------------
+# one entry point: which solver answers a model
+# ---------------------------------------------------------------------------
+
+def survival(model: RiskModel, us, method: str = "auto", *, horizon: int = 10_000,
+             t: float | None = None, paths: int = 100_000, seed: int = 0,
+             confidence: float = 0.99, steps: int = 2000) -> tuple[str, list[RuinEstimate]]:
+    """The route taken and one RuinEstimate per capital in us, in order.
+
+    "auto" picks "volterra" for the alpha-stable model, "closed" for a max
+    model that has_max_closed_form covers, "ode" for any other, and "mc" for
+    every other algebra or a finite horizon t.  "ode" solves the distinct
+    capitals in one max_ruin_ode call, premiums dilated by beta.
+    """
+    kind = model.algebra.kind
+    if method == "auto":
+        method = ("mc" if t is not None or kind not in ("alpha_stable", "max")
+                  else "volterra" if kind == "alpha_stable"
+                  else "closed" if has_max_closed_form(model) else "ode")
+    if t is not None and method != "mc":
+        raise ParameterError(f"t sets a finite horizon, which only the mc method solves; "
+                             f"method {method} is infinite-horizon")
+    us = [float(u) for u in us]
+    if method == "volterra":
+        return method, alpha_ruin_grid(us, model, steps)
+    if method == "closed":
+        return method, [max_ruin_closed(u, model) for u in us]
+    if method == "ode":
+        if kind != "max":
+            raise ParameterError("the ode method solves the max model only")
+        caps, at = np.unique(us, return_inverse=True)
+        grid = max_ruin_ode(model.claim_law, dilate(model.premium_law, model.beta), caps)
+        return method, [RuinEstimate(s, 1.0 - s, method="ode", diagnostics={
+            "claim_sup": model.claim_law.support_upper, "beta": model.beta})
+            for s in map(float, grid.delta_values[at])]
+    if method != "mc":
+        raise ParameterError(f"unknown method {method!r}")
+    if t is not None:
+        return method, [mc_ruin_finite_t(replace(model, u=u), t, paths=paths, seed=seed,
+                                         confidence=confidence) for u in us]
+    return method, [mc_ruin(replace(model, u=u), horizon_claims=horizon, paths=paths,
+                            seed=seed, confidence=confidence) for u in us]
