@@ -35,7 +35,7 @@ from .measures import (
 )
 from .risk import RiskModel, safety_condition_kendall, safety_condition_max
 from .ruin import CertainRuinError, _check_confidence, survival
-from .walks import _check_walk, simulate, simulate_terminal
+from .walks import _check_walk, simulate_paths, simulate_terminal
 
 __all__ = ["main", "DEFAULT_SEED"]
 
@@ -171,11 +171,9 @@ def _cmd_walk(args, out: Path) -> dict:
     law = distribution_from_json(_parse_json(args.step_law, "--step-law"))
     _check_walk(args.start, args.n, args.paths, args.seed)
     if args.full:
-        rows = []
-        for i in range(args.paths):
-            path = simulate(alg, law, args.n, start=args.start, seed=args.seed + i)
-            rows.extend((i, k, float(s)) for k, s in enumerate(path.states))
-        _write_csv(out / "walk.csv", ["path", "step", "state"], rows)
+        states = simulate_paths(alg, law, args.n, args.paths, start=args.start, seed=args.seed)
+        _write_csv(out / "walk.csv", ["path", "step", "state"],
+                   ((i, k, s) for i, row in enumerate(states.tolist()) for k, s in enumerate(row)))
     else:
         terminal = simulate_terminal(alg, law, args.n, args.paths,
                                      start=args.start, seed=args.seed)
@@ -259,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--law", required=True)
     s.add_argument("--t-grid", default="0:5:101")
 
-    s = sub.add_parser("walk", help="simulate random walks")
+    s = sub.add_parser("walk", help="random walks under an algebra")
     s.add_argument("--algebra", required=True)
     s.add_argument("--step-law", required=True)
     s.add_argument("--n", type=int, required=True)

@@ -597,24 +597,24 @@ def survival(model: RiskModel, us, method: str = "auto", *, horizon: int = 10_00
         method = ("mc" if t is not None or kind not in ("alpha_stable", "max")
                   else "volterra" if kind == "alpha_stable"
                   else "closed" if has_max_closed_form(model) else "ode")
+    if method not in ("volterra", "closed", "ode", "mc"):
+        raise ParameterError(f"unknown method {method!r}")
     if t is not None and method != "mc":
         raise ParameterError(f"t sets a finite horizon, which only the mc method solves; "
                              f"method {method} is infinite-horizon")
+    if method in ("closed", "ode") and kind != "max":
+        raise ParameterError(f"the {method} method solves the max model only")
     us = [float(u) for u in us]
     if method == "volterra":
         return method, alpha_ruin_grid(us, model, steps)
     if method == "closed":
         return method, [max_ruin_closed(u, model) for u in us]
     if method == "ode":
-        if kind != "max":
-            raise ParameterError("the ode method solves the max model only")
         caps, at = np.unique(us, return_inverse=True)
         grid = max_ruin_ode(model.claim_law, dilate(model.premium_law, model.beta), caps)
         return method, [RuinEstimate(s, 1.0 - s, method="ode", diagnostics={
             "claim_sup": model.claim_law.support_upper, "beta": model.beta})
             for s in map(float, grid.delta_values[at])]
-    if method != "mc":
-        raise ParameterError(f"unknown method {method!r}")
     if t is not None:
         return method, [mc_ruin_finite_t(replace(model, u=u), t, paths=paths, seed=seed,
                                          confidence=confidence) for u in us]

@@ -8,13 +8,12 @@ A "generic" sampler that inverts the exact point-mass convolution laws
 (the quantile of convolve_points) is kept as an independent cross-check of
 the specialized recursions.
 
-Determinism contract: single paths draw their randomness from a per-step
-stream seeded by (seed, step index), so a path restarted from (X_k, seed)
-at step offset k reproduces its suffix exactly.  Every batched Monte Carlo
-routine is one function of a chunk, run by map_chunks over fixed-width
-chunks seeded by (seed, chunk index), so results never depend on scheduling;
-a chunk wider than CHUNK is walked in row blocks whose draws are the block's
-rows of the chunk's own draws, so the results are the same bits.  The
+Determinism contract: every batched Monte Carlo routine is one function of a
+chunk, run by map_chunks over fixed-width chunks seeded by (seed, chunk
+index), so results never depend on scheduling, and simulate_paths records
+the very walks whose last states simulate_terminal returns.  A chunk wider
+than CHUNK is walked in row blocks whose draws are the block's rows of the
+chunk's own draws, so the results are the same bits.  The
 alpha-model fast path runs its chunks on up to one thread per CPU the process
 may use; each chunk still draws from its own stream and the results are
 concatenated in chunk order, so they do not depend on the thread count.
@@ -25,7 +24,6 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +33,8 @@ from .measures import Distribution, ParameterError, _check_integer, _check_nonne
 
 __all__ = [
     "CHUNK",
-    "WalkPath",
     "apply_step_batch",
-    "simulate",
+    "simulate_paths",
     "simulate_terminal",
     "simulate_terminal_generic",
 ]
@@ -48,7 +45,8 @@ CHUNK = 16384
 
 def map_chunks(fn: Callable, paths: int, seed: int, width: int = CHUNK, key: tuple = (),
                scratch: Callable | None = None):
-    """Concatenate fn(lo, hi, rng), one value per path, over the chunks of `width` paths in order.
+    """Concatenate fn(lo, hi, rng), one value or row per path, over the chunks of `width`
+    paths in order.
 
     Chunk ci draws from default_rng([seed, *key, ci]); `key` separates
     streams that share a seed.  A chunk wider than CHUNK runs fn on its row
@@ -150,17 +148,6 @@ class _RowView:
                              f"not {name}")
 
 
-@dataclass(frozen=True)
-class WalkPath:
-    """One realized trajectory X_0 ... X_n together with its step values."""
-
-    states: tuple[float, ...]
-    algebra: ConvolutionAlgebra
-    start: float
-    seed: int
-    steps: tuple[float, ...] = ()
-
-
 def apply_step_batch(alg: ConvolutionAlgebra, x: np.ndarray, u: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
     """Vectorized draw of X' ~ delta_x <> delta_u for each (x, u) pair.
@@ -260,44 +247,36 @@ def _check_poisson_mean(mean: float) -> None:
                              f"({_POISSON_MEAN_MAX:.6g})")
 
 
-def simulate(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
-             start: float = 0.0, seed: int = 0, first_step: int = 0) -> WalkPath:
-    """One walk of n steps from `start`; step k uses the stream (seed, k).
-
-    `first_step` offsets the step indices, so restarting from an intermediate
-    state reproduces the remaining path: simulate(..., n - k, start=X_k,
-    seed=seed, first_step=k) matches steps k+1 ... n of the original run.
-    """
-    _check_walk(start, n, seed=seed)
-    states = [float(start)]
-    steps = []
-    x = np.array([float(start)])
-    for k in range(1, n + 1):
-        rng = np.random.default_rng([seed, first_step + k])
-        u = step_law.sample(1, rng)
-        x = apply_step_batch(alg, x, u, rng)
-        steps.append(float(u[0]))
-        states.append(float(x[0]))
-    return WalkPath(tuple(states), alg, float(start), seed, tuple(steps))
-
-
 def _terminal_walk(alg: ConvolutionAlgebra, step_law: Distribution, paths: int,
-                   start: float, seed: int, counts: Callable) -> np.ndarray:
+                   start: float, seed: int, counts: Callable, record: bool = False) -> np.ndarray:
     """Terminal states of `paths` walks from `start`, chunk-seeded.
 
     Each chunk first draws its step counts, ``counts(rng, width)``; path i
     then makes counts[i] steps.  Every step draws full-width samples, so a
-    path's randomness never depends on the other paths' counts.
+    path's randomness never depends on the other paths' counts.  With
+    `record`, each path's row holds its state after every step instead.
     """
     def walk(lo, hi, rng):
         steps = counts(rng, hi - lo)
         x = np.full(hi - lo, float(start))
+        kept = [x.copy()] if record else None
         for k in range(1, int(steps.max(initial=0)) + 1):
             moved = apply_step_batch(alg, x, step_law.sample(hi - lo, rng), rng)
             np.copyto(x, moved, where=k <= steps)
-        return x
+            if record:
+                kept.append(x.copy())
+        return np.stack(kept, axis=1) if record else x
 
     return map_chunks(walk, paths, seed)
+
+
+def simulate_paths(alg: ConvolutionAlgebra, step_law: Distribution, n: int,
+                   paths: int, start: float = 0.0, seed: int = 0) -> np.ndarray:
+    """States X_0 ... X_n of `paths` walks, one row per path; the last column
+    is simulate_terminal's result for the same arguments, bit for bit."""
+    _check_walk(start, n, paths)
+    return _terminal_walk(alg, step_law, paths, start, seed, lambda rng, w: np.full(w, n),
+                         record=True)
 
 
 def simulate_terminal(alg: ConvolutionAlgebra, step_law: Distribution, n: int,

@@ -13,6 +13,7 @@ import scipy
 from gcruin import cli
 from gcruin import measures as me
 from gcruin import ruin as ru
+from gcruin import walks as wa
 
 MAX_MODEL = json.dumps({
     "algebra": {"kind": "max"},
@@ -120,6 +121,40 @@ def test_walk_full_paths(tmp_path):
     assert len(rows) == 1 + 2 * 6
     states = [float(r[2]) for r in rows[1:7]]
     assert states == sorted(states)          # max walk is nondecreasing
+
+
+def walk_csv(out, *options):
+    """The bytes of walk.csv for a Kendall walk of uniform steps."""
+    assert cli.main(["--out", str(out), "walk", "--algebra", '{"kind": "kendall", "alpha": 1.0}',
+                     "--step-law", '{"family": "uniform", "a": 0, "b": 1}', *options]) == 0
+    return (out / "walk.csv").read_bytes()
+
+
+@pytest.mark.parametrize("paths", [1, wa.CHUNK - 1, wa.CHUNK + 1])
+@pytest.mark.parametrize("seed", ["5", "123456789"])
+def test_walk_full_last_column_is_the_terminal_csv(tmp_path, seed, paths):
+    options = ["--n", "3", "--paths", str(paths), "--seed", seed]
+    lines = walk_csv(tmp_path / "full", *options, "--full").split(b"\r\n")
+    assert lines[0] == b"path,step,state" and lines[-1] == b""
+    rows = [line.split(b",") for line in lines[1:-1]]
+    assert [r[:2] for r in rows] == [[str(i).encode(), str(k).encode()]
+                                     for i in range(paths) for k in range(4)]
+    last = [r[2] for r in rows if r[1] == b"3"]
+    assert b"\r\n".join([b"terminal", *last, b""]) == walk_csv(tmp_path / "terminal", *options)
+
+
+def test_walk_full_zero_steps_writes_the_start(tmp_path):
+    got = walk_csv(tmp_path, "--n", "0", "--paths", "3", "--start", "1.5", "--full")
+    assert got == b"path,step,state\r\n0,0,1.5\r\n1,0,1.5\r\n2,0,1.5\r\n"
+
+
+def test_walk_full_neighbouring_seeds_share_no_path(tmp_path):
+    def paths(seed):
+        walk_csv(tmp_path / seed, "--n", "4", "--paths", "5", "--seed", seed, "--full")
+        rows = read_csv(tmp_path / seed / "walk.csv")[1:]
+        return {tuple(r[2] for r in rows if r[0] == str(i)) for i in range(5)}
+
+    assert not paths("5") & paths("6")
 
 
 @pytest.mark.parametrize("mode", [[], ["--full"]], ids=["terminal", "full"])

@@ -477,7 +477,8 @@ def kendall_lom_model(u=1.0):
      "^n must be an integer"),
     (lambda: wa.simulate_terminal(co.kendall(1.0), KENDALL_LOM, 2, 3.0),
      "^paths must be an integer"),
-    (lambda: wa.simulate(co.kendall(1.0), KENDALL_LOM, math.inf), "^n must be an integer"),
+    (lambda: wa.simulate_paths(co.kendall(1.0), KENDALL_LOM, math.inf, 3),
+     "^n must be an integer"),
     (lambda: ri.mc_poisson_terminal(co.kendall(1.0), KENDALL_LOM, 1.0, 1.0, paths=math.nan),
      "^paths must be an integer"),
     # integers out of range keep their messages
@@ -513,7 +514,7 @@ def no_chunk(lo, hi, rng):
     lambda: me.uniform(0, 1).sample(3, math.nan),
     lambda: wa.map_chunks(no_chunk, 5, 1.5),
     lambda: wa.simulate_terminal(co.kendall(1.0), KENDALL_LOM, 2, 3, seed=2.5),
-    lambda: wa.simulate(co.kendall(1.0), KENDALL_LOM, 2, seed=2.0),
+    lambda: wa.simulate_paths(co.kendall(1.0), KENDALL_LOM, 2, 3, seed=2.0),
     lambda: ru.mc_ruin(max_model(), horizon_claims=2, paths=3, seed=1.5),
     lambda: ru.kendall_lambda_recursion_check(0.0, 1.0, kendall_lom_model(), paths_outer=10,
                                               paths_inner=5, horizon=2, seed=1.5),

@@ -66,6 +66,17 @@ def test_unknown_method_is_refused():
         ru.survival(MAX_CLOSED, [0.5], "euler")
 
 
+def test_unknown_method_is_named_before_the_horizon_check():
+    with pytest.raises(me.ParameterError, match="^unknown method 'foo'$"):
+        ru.survival(MAX_CLOSED, [1.0], "foo", t=1.0)
+
+
+@pytest.mark.parametrize("model", [KENDALL, ALPHA], ids=["kendall", "alpha"])
+def test_closed_refuses_other_algebras(model):
+    with pytest.raises(me.ParameterError, match="^the closed method solves the max model only$"):
+        ru.survival(model, [0.5], "closed")
+
+
 @pytest.mark.parametrize("model", [MAX_CLOSED, MAX_TABLE], ids=["uniform", "table"])
 def test_ode_grid_equals_one_solve_per_capital(model):
     # unsorted, repeated, and past the claim supremum 1

@@ -84,36 +84,43 @@ def test_kendall_step_distribution_matches_point_convolution():
     assert np.max(np.abs(emp - law.cdf(grid))) <= 0.01
 
 
+def chunk0_steps(step_law, n, paths, seed):
+    """The step values of chunk 0's walks for an algebra that draws nothing else."""
+    rng = np.random.default_rng([seed, 0])
+    return np.stack([step_law.sample(paths, rng) for _ in range(n)], axis=1)
+
+
 def test_max_walk_is_running_maximum():
-    path = wa.simulate(co.max_algebra(), me.uniform(0, 1), 6, seed=9)
-    states = np.array(path.states)
-    steps = np.array(path.steps)
-    np.testing.assert_allclose(states[1:], np.maximum.accumulate(steps), atol=0)
-    assert states[0] == 0.0
+    law = me.uniform(0, 1)
+    states = wa.simulate_paths(co.max_algebra(), law, 6, 3, seed=9)
+    steps = chunk0_steps(law, 6, 3, 9)
+    np.testing.assert_array_equal(states[:, 1:], np.maximum.accumulate(steps, axis=1))
+    assert np.all(states[:, 0] == 0.0)
 
 
 def test_alpha_stable_walk_is_pythagorean():
-    path = wa.simulate(co.alpha_stable(2.0), me.uniform(0, 1), 5, seed=4)
-    states = np.array(path.states)
-    steps = np.array(path.steps)
-    np.testing.assert_allclose(states[1:] ** 2, np.cumsum(steps**2), rtol=1e-12)
+    law = me.uniform(0, 1)
+    states = wa.simulate_paths(co.alpha_stable(2.0), law, 5, 3, seed=4)
+    steps = chunk0_steps(law, 5, 3, 4)
+    np.testing.assert_allclose(states[:, 1:] ** 2, np.cumsum(steps**2, axis=1), rtol=1e-12)
 
 
 def test_walk_start_is_honored():
-    path = wa.simulate(co.kendall(1.0), me.uniform(0, 1), 3, start=2.0, seed=1)
-    assert path.states[0] == 2.0
-    assert min(path.states) >= 0.0
+    states = wa.simulate_paths(co.kendall(1.0), me.uniform(0, 1), 3, 4, start=2.0, seed=1)
+    assert states.shape == (4, 4)
+    assert np.all(states[:, 0] == 2.0)
+    assert np.all(states >= 0.0)
 
 
-def test_suffix_reproducibility():
-    # restarting from an intermediate state with the step-index offset
-    # reproduces the remaining path exactly (Markov property by construction)
-    for alg in (co.kendall(1.0), co.max_algebra(), co.classical(), co.kingman(0.5)):
-        full = wa.simulate(alg, me.uniform(0, 1), 8, seed=13)
-        k = 3
-        tail = wa.simulate(alg, me.uniform(0, 1), 8 - k, start=full.states[k],
-                           seed=13, first_step=k)
-        np.testing.assert_allclose(tail.states, full.states[k:], rtol=1e-14)
+@pytest.mark.parametrize("paths", [1, 7, wa.CHUNK - 1, wa.CHUNK + 1])
+@pytest.mark.parametrize("alg", [co.kendall(1.0), co.max_algebra(), co.kingman(0.5),
+                                 co.kendall_type(3.0), co.classical()], ids=lambda a: a.kind)
+def test_recorded_paths_end_at_the_terminal_walk(alg, paths):
+    for seed in (0, 123456789):
+        states = wa.simulate_paths(alg, me.uniform(0, 1), 3, paths, seed=seed)
+        assert states.shape == (paths, 4)
+        np.testing.assert_array_equal(
+            states[:, -1], wa.simulate_terminal(alg, me.uniform(0, 1), 3, paths, seed=seed))
 
 
 def test_simulate_terminal_is_deterministic():
@@ -315,10 +322,10 @@ def test_characteristic_function_semigroup():
 
 def test_walk_input_validation():
     with pytest.raises(me.ParameterError):
-        wa.simulate(co.kendall(1.0), me.uniform(0, 1), -1)
+        wa.simulate_paths(co.kendall(1.0), me.uniform(0, 1), -1, 3)
     for start in (-2.0, math.nan, math.inf):
         with pytest.raises(me.ParameterError):
-            wa.simulate(co.kendall(1.0), me.uniform(0, 1), 2, start=start)
+            wa.simulate_paths(co.kendall(1.0), me.uniform(0, 1), 2, 3, start=start)
         with pytest.raises(me.ParameterError):
             wa.simulate_terminal(co.max_algebra(), me.uniform(0, 1), 0, 3, start=start)
     with pytest.raises(me.ParameterError):
@@ -330,7 +337,7 @@ def test_walk_input_validation():
         with pytest.raises(me.ParameterError, match="^seed must be nonnegative, got -1$"):
             walk(co.kendall(1.0), me.uniform(0, 1), 2, 3, seed=-1)
     with pytest.raises(me.ParameterError, match="^seed must be nonnegative, got -1$"):
-        wa.simulate(co.kendall(1.0), me.uniform(0, 1), 2, seed=-1)
+        wa.simulate_paths(co.kendall(1.0), me.uniform(0, 1), 2, 3, seed=-1)
     with pytest.raises(me.ParameterError):
         co.kingman(-0.6)
 
