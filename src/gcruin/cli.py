@@ -25,17 +25,10 @@ import scipy
 
 from . import __version__
 from .convolutions import algebra_from_json, char_fn, convolve_points
-from .measures import (
-    ParameterError,
-    UnsupportedLawError,
-    _check_finite,
-    _check_nonnegative,
-    _check_positive,
-    distribution_from_json,
-)
+from .measures import ParameterError, UnsupportedLawError, _check_finite, distribution_from_json
 from .risk import RiskModel, safety_condition_kendall, safety_condition_max
-from .ruin import CertainRuinError, _check_confidence, survival
-from .walks import _check_walk, simulate_paths, simulate_terminal
+from .ruin import CertainRuinError, survival
+from .walks import simulate_paths, simulate_terminal
 
 __all__ = ["main", "DEFAULT_SEED"]
 
@@ -43,17 +36,13 @@ __all__ = ["main", "DEFAULT_SEED"]
 DEFAULT_SEED = 123456789
 
 
-class _ValidationError(Exception):
-    pass
-
-
 def _parse_json(text: str, what: str) -> dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _ValidationError(f"{what}: invalid JSON ({exc})") from exc
+        raise ParameterError(f"{what}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
-        raise _ValidationError(f"{what}: expected a JSON object")
+        raise ParameterError(f"{what}: expected a JSON object")
     return obj
 
 
@@ -62,11 +51,11 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
         a, b, n = text.split(":")
         a, b, n = float(a), float(b), int(n)
     except ValueError as exc:
-        raise _ValidationError(f"{what}: expected 'start:stop:count', got {text!r}") from exc
+        raise ParameterError(f"{what}: expected 'start:stop:count', got {text!r}") from exc
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise _ValidationError(f"{what}: start and stop must be finite, got {text!r}")
+        raise ParameterError(f"{what}: start and stop must be finite, got {text!r}")
     if n < 1 or b < a:
-        raise _ValidationError(f"{what}: need count >= 1 and stop >= start")
+        raise ParameterError(f"{what}: need count >= 1 and stop >= start")
     return np.linspace(a, b, n)
 
 
@@ -74,7 +63,7 @@ def _load_model(text: str) -> RiskModel:
     obj = _parse_json(text, "--model")
     for key in ("algebra", "claim_law", "premium_law"):
         if key not in obj:
-            raise _ValidationError(f"--model: missing field '{key}'")
+            raise ParameterError(f"--model: missing field '{key}'")
     try:
         return RiskModel(
             algebra=algebra_from_json(obj["algebra"]),
@@ -84,8 +73,8 @@ def _load_model(text: str) -> RiskModel:
             lam=float(obj.get("lambda", 1.0)),
             beta=float(obj.get("beta", 1.0)),
         )
-    except (ParameterError, UnsupportedLawError, KeyError, TypeError) as exc:
-        raise _ValidationError(f"--model: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParameterError(f"--model: {exc}") from exc
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -169,7 +158,6 @@ def _cmd_transform(args, out: Path) -> dict:
 def _cmd_walk(args, out: Path) -> dict:
     alg = algebra_from_json(_parse_json(args.algebra, "--algebra"))
     law = distribution_from_json(_parse_json(args.step_law, "--step-law"))
-    _check_walk(args.start, args.n, args.paths, args.seed)
     if args.full:
         states = simulate_paths(alg, law, args.n, args.paths, start=args.start, seed=args.seed)
         _write_csv(out / "walk.csv", ["path", "step", "state"],
@@ -189,7 +177,7 @@ def _cmd_safety(args, out: Path) -> dict:
     elif model.algebra.kind == "kendall":
         report = safety_condition_kendall(model, args.t)
     else:
-        raise _ValidationError(
+        raise ParameterError(
             f"safety conditions are implemented for the max and kendall algebras, "
             f"not {model.algebra.kind!r}")
     payload = asdict(report)
@@ -203,16 +191,10 @@ def _cmd_safety(args, out: Path) -> dict:
 
 
 def _cmd_ruin(args, out: Path) -> dict:
-    # every route checks the run options, so none echoes an invalid one into its meta
-    _check_positive(paths=args.paths, horizon=args.horizon)
-    if args.steps < 2:
-        raise _ValidationError(f"steps must be >= 2, got {args.steps}")
-    _check_nonnegative(seed=args.seed)
-    _check_confidence(args.confidence)
     model = _load_model(args.model)
     if args.t is not None and args.method not in ("auto", "mc"):
-        raise _ValidationError(f"--t sets a finite horizon, which only the mc method "
-                               f"solves; --method {args.method} is infinite-horizon")
+        raise ParameterError(f"--t sets a finite horizon, which only the mc method "
+                             f"solves; --method {args.method} is infinite-horizon")
     us = (_parse_grid(args.u_grid, "--u-grid") if args.u_grid is not None
           else [model.u if args.u is None else args.u])
     method, ests = survival(model, us, args.method, horizon=args.horizon, t=args.t,
@@ -312,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_finite(**{f"--{name}": getattr(args, name, None)
                          for name in ("u", "t", "x", "y", "start")})
         extra = _HANDLERS[args.command](args, out)
-    except (_ValidationError, ParameterError, UnsupportedLawError) as exc:
+    except (ParameterError, UnsupportedLawError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CertainRuinError, OverflowError) as exc:

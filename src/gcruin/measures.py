@@ -40,7 +40,8 @@ MOMENT_TRUNCATION = 1e12
 
 
 class ParameterError(ValueError):
-    """A distribution or algebra parameter is outside its admissible range."""
+    """An input is outside its admissible range or malformed: a distribution,
+    algebra or run parameter, or a configuration that does not parse."""
 
 
 class UnsupportedLawError(ValueError):
@@ -150,6 +151,7 @@ class Distribution:
         ``seed`` is an integer or a stream to draw from: a numpy Generator or
         the row view that a block of a wide Monte Carlo chunk gets.
         """
+        _check_integer(n=n)
         if n < 1:
             raise ParameterError("sample size must be >= 1")
         if hasattr(type(seed), "random"):

@@ -87,10 +87,11 @@ def _check_confidence(confidence: float) -> None:
 
 def wilson_interval(successes: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
+    _check_integer(successes=successes, n=n)
     if n < 1 or not 0 <= successes <= n:
         raise ParameterError(f"need n >= 1 and 0 <= successes <= n, got {successes} of {n}")
     _check_confidence(confidence)
-    z = special.ndtri(0.5 + confidence / 2.0)
+    z = float(special.ndtri(0.5 + confidence / 2.0))
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -591,7 +592,17 @@ def survival(model: RiskModel, us, method: str = "auto", *, horizon: int = 10_00
     model that has_max_closed_form covers, "ode" for any other, and "mc" for
     every other algebra or a finite horizon t.  "ode" solves the distinct
     capitals in one max_ruin_ode call, premiums dilated by beta.
+
+    Before it routes, it checks every run option, used by the route or not:
+    paths, horizon, steps and seed are integers, paths and horizon positive,
+    steps >= 2, seed nonnegative, and 0 < confidence < 1.
     """
+    _check_integer(paths=paths, horizon=horizon, steps=steps, seed=seed)
+    _check_positive(paths=paths, horizon=horizon)
+    if steps < 2:
+        raise ParameterError(f"steps must be >= 2, got {steps}")
+    _check_nonnegative(seed=seed)
+    _check_confidence(confidence)
     kind = model.algebra.kind
     if method == "auto":
         method = ("mc" if t is not None or kind not in ("alpha_stable", "max")

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate
 
 from .convolutions import convolve_points, kendall
-from .measures import (Distribution, ParameterError, QUAD_TOL, _as_array,
+from .measures import (Distribution, ParameterError, QUAD_TOL, _as_array, _check_integer,
                        _check_nonnegative, _check_positive)
 
 __all__ = [
@@ -231,6 +231,7 @@ def shifted_n_step_cdf(u: float, pair: KendallLawPair, n: int, t):
     H^(n-1) [H + n Psi(u/t) (F - H)] on t >= u, and 0 below u.
     """
     _check_nonnegative(u=u)
+    _check_integer(n=n)
     if n < 0:
         raise ParameterError("n must be >= 0")
     t = _as_array(t)

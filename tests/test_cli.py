@@ -334,6 +334,21 @@ def test_missing_model_field_exits_2(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["u", "lambda", "beta"])
+def test_model_number_that_does_not_parse_exits_2(tmp_path, capsys, key):
+    model = {**json.loads(MAX_MODEL), key: "abc"}
+    assert cli.main(["--out", str(tmp_path), "ruin", "--model", json.dumps(model)]) == 2
+    assert capsys.readouterr().err == \
+        "error: --model: could not convert string to float: 'abc'\n"
+    assert not (tmp_path / "ruin.csv").exists()
+
+
+def test_ruin_reads_the_model_before_the_run_options(tmp_path, capsys):
+    assert cli.main(["--out", str(tmp_path), "ruin", "--model", '{"algebra": {"kind": "max"}}',
+                     "--paths", "0"]) == 2
+    assert "missing field" in capsys.readouterr().err
+
+
 def test_certain_ruin_exits_3(tmp_path, capsys):
     model = json.loads(ALPHA_MODEL)
     model["beta"] = 1.0          # rho = 1: the net profit condition fails

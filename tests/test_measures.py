@@ -356,6 +356,12 @@ def test_builders_reject_non_finite_parameters(build):
         build()
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, NAN, INF])
+def test_sample_rejects_a_size_that_is_not_an_integer(n):
+    with pytest.raises(me.ParameterError, match=f"^n must be an integer, got {n}$"):
+        me.uniform(0.0, 1.0).sample(n, 0)
+
+
 @pytest.mark.parametrize("law", [
     me.uniform(0.0, 1.0),
     me.table([(0.5, 0.3), (2.0, 0.2)], [(0.0, 0.0), (1.0, 0.25), (3.0, 0.5)]),

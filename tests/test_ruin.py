@@ -48,6 +48,13 @@ def test_wilson_interval():
         ru.wilson_interval(0, 0)
     with pytest.raises(me.ParameterError, match="successes"):
         ru.wilson_interval(5, 3)
+    with pytest.raises(me.ParameterError, match="^n must be an integer, got 10.5$"):
+        ru.wilson_interval(5, 10.5)
+    with pytest.raises(me.ParameterError, match="^successes must be an integer, got 5.0$"):
+        ru.wilson_interval(5.0, 10)
+    assert all(type(b) is float for b in (lo, hi, lo0, hi0, lo1, hi1, *wide))
+    est = ru.mc_ruin(max_model(), horizon_claims=5, paths=100, seed=1)
+    assert type(est.ci_low) is float and type(est.ci_high) is float
 
 
 # ---------------------------------------------------------------------------

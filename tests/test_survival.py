@@ -1,6 +1,7 @@
 """ruin.survival: one entry point that routes every model to its solver."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -75,6 +76,24 @@ def test_unknown_method_is_named_before_the_horizon_check():
 def test_closed_refuses_other_algebras(model):
     with pytest.raises(me.ParameterError, match="^the closed method solves the max model only$"):
         ru.survival(model, [0.5], "closed")
+
+
+@pytest.mark.parametrize("options, message", [
+    (dict(paths=-5), "paths must be positive, got -5"),
+    (dict(horizon=0), "horizon must be positive, got 0"),
+    (dict(steps=1), "steps must be >= 2, got 1"),
+    (dict(seed=-3), "seed must be nonnegative, got -3"),
+    (dict(confidence=1.5), "confidence must lie in (0, 1), got 1.5"),
+    (dict(paths=2.5), "paths must be an integer, got 2.5"),
+], ids=["paths", "horizon", "steps", "seed", "confidence", "paths_float"])
+@pytest.mark.parametrize("model, method", [
+    (ALPHA, "volterra"), (MAX_CLOSED, "closed"), (MAX_TABLE, "ode"), (KENDALL, "mc"),
+], ids=["volterra", "closed", "ode", "mc"])
+def test_every_route_checks_every_run_option(model, method, options, message):
+    # the CLI gives the same messages, and argparse refuses paths 2.5 before them
+    assert ru.survival(model, [0.5], method, **MC_RUN)[0] == method
+    with pytest.raises(me.ParameterError, match=f"^{re.escape(message)}$"):
+        ru.survival(model, [0.5], method, **{**MC_RUN, **options})
 
 
 @pytest.mark.parametrize("model", [MAX_CLOSED, MAX_TABLE], ids=["uniform", "table"])

@@ -308,6 +308,16 @@ def test_williamson_entry_points_reject_numbers_that_are_not_positive(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda n: wi.n_step_cdf(wi.kendall_pair(me.uniform(0, 1), 1.0), n, 0.5),
+    lambda n: wi.shifted_n_step_cdf(0.5, LOM_PAIR, n, 1.0),
+], ids=["n_step", "shifted_n_step"])
+@pytest.mark.parametrize("n", [2.5, math.nan], ids=["half", "nan"])
+def test_n_step_cdf_rejects_a_step_count_that_is_not_an_integer(call, n):
+    with pytest.raises(me.ParameterError, match=f"^n must be an integer, got {n}$"):
+        call(n)
+
+
 def test_shifted_compound_cdf():
     pair = wi.kendall_pair(me.lom_kendall(1.0, 1.0), 1.0)
     u = 2.0
