@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special
 
 from .measures import (
     Distribution,
@@ -27,6 +26,7 @@ from .measures import (
     _check_positive,
     _image,
     _invert_cdf,
+    _quad,
     point_mass,
 )
 
@@ -150,6 +150,8 @@ def kernel(alg: ConvolutionAlgebra, t) -> float | np.ndarray:
 
 def _kingman_kernel(s: float, t: np.ndarray) -> np.ndarray:
     """Normalized Bessel kernel Gamma(s+1) (2/t)^s J_s(t), continuous at 0."""
+    from scipy.special import gamma, jv
+
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.ones_like(t)
@@ -157,7 +159,7 @@ def _kingman_kernel(s: float, t: np.ndarray) -> np.ndarray:
     nz = ~small
     if np.any(nz):
         tv = t[nz]
-        out[nz] = special.gamma(s + 1.0) * np.power(2.0 / tv, s) * special.jv(s, tv)
+        out[nz] = gamma(s + 1.0) * np.power(2.0 / tv, s) * jv(s, tv)
     if np.any(small):
         # leading series term: 1 - t^2 / (4(s+1))
         ts = t[small]
@@ -263,7 +265,9 @@ def _pair_quantile(alg: ConvolutionAlgebra, x, y, q) -> np.ndarray:
     elif k == "kingman":
         # sqrt(x^2 + y^2 + 2xy theta), theta = 2B - 1, B ~ Beta(s + 1/2, s + 1/2)
         a = alg.s + 0.5
-        th = 2.0 * special.betaincinv(a, a, q) - 1.0
+        from scipy.special import betaincinv
+
+        th = 2.0 * betaincinv(a, a, q) - 1.0
         val = np.sqrt(np.maximum((x * x + y * y) + (2.0 * x * y) * th, 0.0))
     elif k == "kendall_type":
         cdf = _kendall_type_pair_parts(alg, big, r)[1]
@@ -303,7 +307,7 @@ def _kingman_point_convolution(s: float, x: float, y: float, quantile) -> Distri
     """Law of sqrt(x^2 + y^2 + 2xy theta) with theta = 2B - 1, B ~ Beta(s+1/2, s+1/2).
 
     The Beta CDF and quantile (in ``_pair_quantile``) are the ufuncs
-    ``special.betainc`` and ``special.betaincinv``.  They give the same values
+    ``scipy.special.betainc`` and ``betaincinv``.  They give the same values
     as a frozen ``stats.beta(a, a)``, without the cost of building one per pair.
     """
     a = s + 0.5
@@ -314,8 +318,10 @@ def _kingman_point_convolution(s: float, x: float, y: float, quantile) -> Distri
         return np.clip((np.square(z) - xx) / yy, -1.0, 1.0)
 
     def cdf(z):
+        from scipy.special import betainc
+
         z = _as_array(z)
-        return special.betainc(a, a, (theta_of_z(np.maximum(z, 0.0)) + 1.0) / 2.0)
+        return betainc(a, a, (theta_of_z(np.maximum(z, 0.0)) + 1.0) / 2.0)
 
     def density(z):
         from scipy import stats
@@ -449,8 +455,8 @@ def char_fn(alg: ConvolutionAlgebra, d: Distribution, t: float) -> float:
     _check_nonnegative(t=t)
     heavy = d.density is not None and math.isfinite(d.tail_index)
     if alg.kind == "symmetric" and t > 0 and heavy:
-        val, _ = integrate.quad(lambda x: float(d.density(np.array([x]))[0]), d.support_lower,
-                                math.inf, weight="cos", wvar=t, epsabs=QUAD_TOL)
+        val, _ = _quad(lambda x: float(d.density(np.array([x]))[0]), d.support_lower,
+                       math.inf, weight="cos", wvar=t, epsabs=QUAD_TOL)
         return sum(m * math.cos(loc * t) for loc, m in d.atoms) + val
     compact = t > 0 and alg.kind in ("max", "kendall", "kendall_type")
     return d.expect(lambda z: float(kernel(alg, z * t)), 1.0 / t if compact else math.inf)

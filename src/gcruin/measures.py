@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "Distribution",
@@ -50,6 +49,18 @@ class UnsupportedLawError(ValueError):
 
 def _as_array(x):
     return np.asarray(x, dtype=float)
+
+
+def _quad(f: Callable[[float], float], a: float, b: float, **quad_kwargs) -> tuple[float, float]:
+    """(value, abserr) of the integral of f over [a, b] by ``scipy.integrate.quad``,
+    called with exactly ``quad_kwargs``: the one place the package integrates.
+
+    scipy.integrate is imported here, on the first call, not with the package;
+    every later call finds it in ``sys.modules``.
+    """
+    from scipy import integrate
+
+    return integrate.quad(f, a, b, **quad_kwargs)
 
 
 def _check_finite(**params) -> None:
@@ -195,8 +206,8 @@ class Distribution:
             total += m * g(loc)
         hi = min(upper, self.support_upper)
         if self.density is not None and hi > self.support_lower:
-            val, _ = integrate.quad(lambda x: g(x) * float(self.density(np.array([x]))[0]),
-                                    self.support_lower, hi, epsabs=QUAD_TOL, limit=400)
+            val, _ = _quad(lambda x: g(x) * float(self.density(np.array([x]))[0]),
+                           self.support_lower, hi, epsabs=QUAD_TOL, limit=400)
             total += val
         return total
 
@@ -437,13 +448,13 @@ def moment_alpha(d: Distribution, alpha: float) -> float:
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
         if b > a:
-            val, _ = integrate.quad(integrand, a, b, epsabs=QUAD_TOL, limit=200)
+            val, _ = _quad(integrand, a, b, epsabs=QUAD_TOL, limit=200)
             total += val
     if bounded:
         return total
     a = head_end
     while a < MOMENT_TRUNCATION:
-        val, _ = integrate.quad(integrand, a, 2.0 * a, epsabs=QUAD_TOL, limit=200)
+        val, _ = _quad(integrand, a, 2.0 * a, epsabs=QUAD_TOL, limit=200)
         total += val
         if val < 1e-13 * max(total, 1.0):
             return total
@@ -479,7 +490,7 @@ def _sf_moment(d: Distribution, alpha: float, cuts: list[float]) -> float:
     ys = [c ** alpha for c in cuts]
     total = 0.0
     for a, b in zip(ys[:-1], ys[1:]):
-        val, _ = integrate.quad(head, a, b, epsabs=0.0, epsrel=1e-13, limit=200)
+        val, _ = _quad(head, a, b, epsabs=0.0, epsrel=1e-13, limit=200)
         total += val
     h, k = cuts[-1], d.tail_index
     g = k - alpha
@@ -488,7 +499,7 @@ def _sf_moment(d: Distribution, alpha: float, cuts: list[float]) -> float:
         return float(d.sf(h * v ** (-1.0 / g))) * v ** (-k / g)
 
     v0 = 10.0 ** (-30.0 * g / max(k, 1.0))
-    val, _ = integrate.quad(tail, v0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    val, _ = _quad(tail, v0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
     return total + alpha * h**alpha / g * (val + v0 * tail(v0))
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .convolutions import ConvolutionAlgebra
 from .measures import (
@@ -28,6 +27,7 @@ from .measures import (
     UnsupportedLawError,
     _check_nonnegative,
     _check_positive,
+    _quad,
     moment_alpha,
     power_transform,
 )
@@ -116,7 +116,7 @@ def _max_compound_expectation(law: Distribution, lt: float, floor: float) -> flo
     total = floor
     for a, b in zip([floor, *cuts], [*cuts, hi]):
         if b > a:
-            val, _ = integrate.quad(tail, a, b, epsabs=QUAD_TOL, limit=400)
+            val, _ = _quad(tail, a, b, epsabs=QUAD_TOL, limit=400)
             total += val
     return total
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate, special
 
 from .convolutions import dilate
 from .measures import (
@@ -26,6 +25,7 @@ from .measures import (
     _check_integer,
     _check_nonnegative,
     _check_positive,
+    _quad,
     moment_alpha,
     power_transform,
 )
@@ -85,13 +85,21 @@ def _check_confidence(confidence: float) -> None:
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
 
 
+def _normal_quantile(confidence: float) -> float:
+    """z with P(|N(0, 1)| <= z) = confidence, as a Python float: the one
+    scipy.special import of the Monte Carlo intervals, made on first use."""
+    from scipy.special import ndtri
+
+    return float(ndtri(0.5 + confidence / 2.0))
+
+
 def wilson_interval(successes: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     _check_integer(successes=successes, n=n)
     if n < 1 or not 0 <= successes <= n:
         raise ParameterError(f"need n >= 1 and 0 <= successes <= n, got {successes} of {n}")
     _check_confidence(confidence)
-    z = float(special.ndtri(0.5 + confidence / 2.0))
+    z = _normal_quantile(confidence)
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -189,8 +197,8 @@ def alpha_ruin_laplace_check(grid: SurvivalGrid, F: Distribution, gamma: float,
     for s in s_values:
         lhs = float(np.trapezoid(np.exp(-s * z) * d, z))
         lhs += d[-1] * math.exp(-s * z[-1]) / s
-        ghat, _ = integrate.quad(lambda x: math.exp(-s * x) * (1.0 - float(F.cdf(x))),
-                                 0.0, F.support_upper, epsabs=QUAD_TOL, limit=400)
+        ghat, _ = _quad(lambda x: math.exp(-s * x) * (1.0 - float(F.cdf(x))),
+                        0.0, F.support_upper, epsabs=QUAD_TOL, limit=400)
         rhs = (beta_alpha - gamma * mu) / ((beta_alpha - gamma * ghat) * s)
         out.append(abs(lhs - rhs))
     return out
@@ -279,7 +287,7 @@ def max_ruin_ode(F: Distribution, G: Distribution, u_grid) -> SurvivalGrid:
         val = 0.0
         if f is not None and u < a:
             pts = sorted(p for p in cuts if u < p < a)
-            val, _ = integrate.quad(integrand, u, a, points=pts or None, epsabs=1e-12, limit=400)
+            val, _ = _quad(integrand, u, a, points=pts or None, epsabs=1e-12, limit=400)
         return math.exp(-val) * math.prod(j for v, j in jumps if v >= u)
 
     return SurvivalGrid(u_grid, np.array([delta_one(float(u)) for u in u_grid]))
@@ -300,7 +308,7 @@ def max_ruin_integral_residual(F: Distribution, G: Distribution, u: float) -> fl
     integral = 0.0
     if G.density is not None:
         pts = sorted({p for p in (a, G.support_lower, *_cuts(F), *_cuts(G)) if u < p < b})
-        integral, _ = integrate.quad(
+        integral, _ = _quad(
             lambda y: delta(y) * float(F.cdf(y)) * float(G.density(np.array([y]))[0]),
             u, b, points=pts or None, epsabs=1e-10, limit=400)
     rhs = (lhs * float(G.cdf(u)) * _cdf_below(F, u) + integral
@@ -549,7 +557,7 @@ def kendall_lambda_recursion_check(v: float, u: float, model: RiskModel,
     if paths_outer < 2 or paths_inner < 1 or horizon < 1:
         raise ParameterError("need paths_outer >= 2, paths_inner >= 1, horizon >= 1")
     _check_confidence(confidence)
-    z = special.ndtri(0.5 + confidence / 2.0)
+    z = _normal_quantile(confidence)
 
     starts_v = np.full(paths_outer, float(v))
     starts_u = np.full(paths_outer, float(u))

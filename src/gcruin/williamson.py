@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .convolutions import convolve_points, kendall
 from .measures import (Distribution, ParameterError, QUAD_TOL, _as_array, _check_integer,
-                       _check_nonnegative, _check_positive)
+                       _check_nonnegative, _check_positive, _quad)
 
 __all__ = [
     "InversionError",
@@ -70,7 +69,7 @@ def williamson_transform(F: Callable | Distribution, alpha: float, t) -> float |
             return 1.0
         hi = 1.0 / tv
         inner = [p for p in pts if 0.0 < p < hi]
-        val, _ = integrate.quad(
+        val, _ = _quad(
             lambda s: s ** (alpha - 1.0) * float(np.asarray(cdf(s))),
             0.0, hi, points=inner or None, epsabs=QUAD_TOL, limit=400,
         )

@@ -577,6 +577,25 @@ def test_recursion_check_nontrivial():
     assert chk.residual == chk.lhs - chk.rhs
 
 
+def test_recursion_check_interval_is_python_floats():
+    # bounds pinned from numpy.float64 z = special.ndtri(0.5 + confidence / 2);
+    # the Python-float quantile gives the same bits
+    from scipy import special
+
+    model = ri.RiskModel(co.kendall(1.0), KENDALL_LOM, KENDALL_LOM, u=2.0)
+    pinned = {0.9: (-0.0034597269996457167, 0.08695972699964585),
+              0.99: (-0.02904811705006448, 0.11254811705006461)}
+    for confidence, bounds in pinned.items():
+        z = ru._normal_quantile(confidence)
+        assert type(z) is float and z == special.ndtri(0.5 + confidence / 2.0)
+        chk = ru.kendall_lambda_recursion_check(1.0, 2.0, model, paths_outer=400, paths_inner=20,
+                                                horizon=4, seed=2, confidence=confidence)
+        assert (chk.lhs, chk.rhs, chk.residual) == (0.605, 0.5632499999999999, 0.041750000000000065)
+        assert (chk.ci_low, chk.ci_high) == bounds
+        assert all(type(v) is float for v in (chk.lhs, chk.rhs, chk.residual, chk.ci_low,
+                                              chk.ci_high))
+
+
 def test_recursion_check_validation():
     with pytest.raises(me.ParameterError):
         ru.kendall_lambda_recursion_check(0.0, 1.0, max_model(), paths_outer=10,
