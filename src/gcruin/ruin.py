@@ -596,10 +596,12 @@ def survival(model: RiskModel, us, method: str = "auto", *, horizon: int = 10_00
              confidence: float = 0.99, steps: int = 2000) -> tuple[str, list[RuinEstimate]]:
     """The route taken and one RuinEstimate per capital in us, in order.
 
-    "auto" picks "volterra" for the alpha-stable model, "closed" for a max
-    model that has_max_closed_form covers, "ode" for any other, and "mc" for
-    every other algebra or a finite horizon t.  "ode" solves the distinct
-    capitals in one max_ruin_ode call, premiums dilated by beta.
+    "auto" picks "volterra" for the alpha model the Volterra solver takes
+    (lom_alpha premiums of the algebra's order), "closed" for a max model
+    that has_max_closed_form covers, "ode" for any other max model, and "mc"
+    for every other model, other alpha-stable ones included, or a finite
+    horizon t.  "ode" solves the distinct capitals in one max_ruin_ode call,
+    premiums dilated by beta.
 
     Before it routes, it checks every run option, used by the route or not:
     paths, horizon, steps and seed are integers, paths and horizon positive,
@@ -613,8 +615,8 @@ def survival(model: RiskModel, us, method: str = "auto", *, horizon: int = 10_00
     _check_confidence(confidence)
     kind = model.algebra.kind
     if method == "auto":
-        method = ("mc" if t is not None or kind not in ("alpha_stable", "max")
-                  else "volterra" if kind == "alpha_stable"
+        method = ("volterra" if t is None and _is_alpha_model(model)
+                  else "mc" if t is not None or kind != "max"
                   else "closed" if has_max_closed_form(model) else "ode")
     if method not in ("volterra", "closed", "ode", "mc"):
         raise ParameterError(f"unknown method {method!r}")

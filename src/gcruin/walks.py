@@ -14,15 +14,15 @@ index), so results never depend on scheduling, and simulate_paths records
 the very walks whose last states simulate_terminal returns.  A chunk wider
 than CHUNK is walked in row blocks whose draws are the block's rows of the
 chunk's own draws, so the results are the same bits.  The
-alpha-model fast path runs its chunks on up to one thread per CPU the process
-may use; each chunk still draws from its own stream and the results are
-concatenated in chunk order, so they do not depend on the thread count.
+alpha-model fast path runs its chunks on a standard-library thread pool of up
+to one thread per CPU the process may use; each chunk still draws from its own
+stream and the results are concatenated in chunk order, so they do not depend
+on the thread count.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Callable
 
 import numpy as np
@@ -54,11 +54,14 @@ def map_chunks(fn: Callable, paths: int, seed: int, width: int = CHUNK, key: tup
     stream, so fn must draw only rng.random(hi - lo) and give each path a
     value that depends on its own rows of those draws alone.
 
-    With `scratch`, the chunks run on up to one thread per CPU this process
-    may use, at most one per chunk.  The calling thread makes one scratch()
-    per worker before any chunk runs, and the worker calls fn(lo, hi, rng,
-    mem) with its own.  fn must then release the GIL for its long calls to
-    gain anything.  An exception in any chunk is raised here.
+    With `scratch`, the chunks run on up to one worker per CPU this process
+    may use, at most one per chunk: a ThreadPoolExecutor that hands them out
+    in order, or the calling thread alone when there is one worker.  The
+    calling thread first makes one scratch() per worker and puts them in a
+    queue; each chunk takes one, calls fn(lo, hi, rng, mem) with it and puts
+    it back, so no two running chunks share one.  fn must then release the
+    GIL for its long calls to gain anything.  An exception in any chunk is
+    raised here.
     """
     _check_integer(seed=seed)
     _check_nonnegative(seed=seed)
@@ -71,40 +74,27 @@ def map_chunks(fn: Callable, paths: int, seed: int, width: int = CHUNK, key: tup
     if scratch is None:
         blocks = [chunk(ci, fn) for ci in range(len(starts))]
     else:
-        mems = [scratch() for _ in range(min(len(os.sched_getaffinity(0)), len(starts)))]
-        blocks = _on_threads(chunk, len(starts),
-                             [lambda lo, hi, rng, m=m: fn(lo, hi, rng, m) for m in mems])
+        from concurrent.futures import ThreadPoolExecutor
+        from queue import SimpleQueue
+
+        workers = min(len(os.sched_getaffinity(0)), len(starts))
+        mems = SimpleQueue()
+        for _ in range(workers):
+            mems.put(scratch())
+
+        def pooled(ci: int) -> list:
+            mem = mems.get()  # never waits: at most `workers` chunks run at once
+            try:
+                return chunk(ci, lambda lo, hi, rng: fn(lo, hi, rng, mem))
+            finally:
+                mems.put(mem)
+
+        if workers > 1:
+            with ThreadPoolExecutor(workers) as pool:
+                blocks = list(pool.map(pooled, range(len(starts))))
+        else:
+            blocks = [pooled(ci) for ci in range(len(starts))]
     return np.concatenate([out for outs in blocks for out in outs])
-
-
-def _on_threads(run: Callable, count: int, workers: list) -> list:
-    """[run(i, w) for i in range(count)], the indices handed out in order to
-    the workers w, each on its own thread (the first on the calling one)."""
-    out = [None] * count
-    todo = iter(range(count))
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def work(w) -> None:
-        try:
-            while not errors:
-                with lock:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                out[i] = run(i, w)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in workers[1:]]
-    for t in threads:
-        t.start()
-    work(workers[0])
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return out
 
 
 def _row_blocks(fn: Callable, lo: int, hi: int, rng: np.random.Generator) -> list:

@@ -4,8 +4,10 @@
 ``scipy.linalg`` and ``scipy.sparse``, several times the cost of the package
 itself.  Quadrature imports it on first use (``measures._quad``), and the few
 special functions import inside the functions that call them, so a run that
-never integrates never pays for it.  Each check runs in a fresh interpreter,
-because this test session has long since imported scipy.
+never integrates never pays for it.  Likewise ``concurrent.futures``, which
+loads ``queue``, is imported by the first Monte Carlo call that runs its
+chunks on a thread pool.  Each check runs in a fresh interpreter, because
+this test session has long since imported all of them.
 """
 
 import ast
@@ -20,7 +22,8 @@ import pytest
 import gcruin
 
 SRC = Path(gcruin.__file__).resolve().parent
-HEAVY = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+HEAVY = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg", "scipy.sparse",
+         "concurrent.futures")
 
 #: the README's max closed-form and walk examples, which integrate nothing
 README_RUNS = {

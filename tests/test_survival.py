@@ -23,6 +23,9 @@ MAX_TABLE = ri.RiskModel(co.max_algebra(), me.uniform(0, 1),
                                                     "cdf_points": [[0, 0], [2, 0.8]]}),
                          beta=1.5)
 KENDALL = ri.RiskModel(co.kendall(1.0), me.lom_kendall(1.0, 1.0), me.lom_kendall(1.0, 1.0))
+# alpha-stable models whose premiums the Volterra solver refuses: Monte Carlo solves them
+ALPHA_UNIFORM = replace(ALPHA, premium_law=me.uniform(0.0, 3.0), beta=1.0)
+ALPHA_OTHER_ORDER = replace(ALPHA, premium_law=me.lom_alpha(1.0, 2.0), beta=1.0)
 MC_RUN = dict(horizon=20, paths=500, seed=7)
 
 
@@ -31,7 +34,10 @@ MC_RUN = dict(horizon=20, paths=500, seed=7)
     (MAX_CLOSED, "closed", "closed_form"),
     (MAX_TABLE, "ode", "ode"),
     (KENDALL, "mc", "monte_carlo"),
-], ids=["alpha", "max_closed", "max_table", "kendall"])
+    (ALPHA_UNIFORM, "mc", "monte_carlo"),
+    (ALPHA_OTHER_ORDER, "mc", "monte_carlo"),
+], ids=["alpha", "max_closed", "max_table", "kendall", "alpha_uniform_premiums",
+        "alpha_premiums_of_another_order"])
 def test_auto_routes_each_algebra(model, route, label):
     method, ests = ru.survival(model, [0.5, 1.0], **MC_RUN)
     assert method == route

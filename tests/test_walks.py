@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -260,6 +261,56 @@ def test_map_chunks_raises_an_exception_of_a_worker_chunk(monkeypatch):
 
     with pytest.raises(me.ParameterError, match="^chunk 2 failed$"):
         wa.map_chunks(fn, 3 * wa.CHUNK + 5, 5, scratch=lambda: None)
+
+
+def test_map_chunks_makes_every_scratch_in_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(wa.os, "sched_getaffinity", lambda pid: set(range(4)))
+    makers = []
+    wa.map_chunks(lambda lo, hi, rng, mem: rng.random(hi - lo), 9 * 7, 5, width=7,
+                  scratch=lambda: makers.append(threading.get_ident()))
+    assert makers == [threading.get_ident()] * 4
+
+
+def test_map_chunks_never_lends_one_scratch_to_two_running_chunks(monkeypatch):
+    # eight workers, 400 seven-path chunks, a thread switch every microsecond:
+    # each chunk marks its buffer in use and checks that no other chunk holds it
+    monkeypatch.setattr(wa.os, "sched_getaffinity", lambda pid: set(range(8)))
+    lock = threading.Lock()
+    in_use, clashes, seen = set(), [], set()
+
+    def fn(lo, hi, rng, mem):
+        with lock:
+            if mem in in_use:
+                clashes.append(mem)
+            in_use.add(mem)
+            seen.add(mem)
+        out = rng.random(hi - lo)
+        with lock:
+            in_use.discard(mem)
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = wa.map_chunks(fn, 400 * 7, 5, width=7, scratch=object)
+    finally:
+        sys.setswitchinterval(interval)
+    assert clashes == []
+    assert len(seen) <= 8
+    want = wa.map_chunks(lambda lo, hi, rng: rng.random(hi - lo), 400 * 7, 5, width=7)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_map_chunks_runs_a_single_chunk_in_the_calling_thread(monkeypatch):
+    two_cpus(monkeypatch)
+    runners = []
+
+    def fn(lo, hi, rng, mem):
+        runners.append(threading.get_ident())
+        return rng.random(hi - lo)
+
+    wa.map_chunks(fn, wa.CHUNK, 5, scratch=lambda: None)
+    assert runners == [threading.get_ident()]
 
 
 def ks_one_sample(draws: np.ndarray, cdf_vals_sorted: np.ndarray) -> float:
